@@ -14,11 +14,17 @@ diff performance against this one.
 import json
 import pathlib
 import subprocess
+import sys
 
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 REPO_ROOT = pathlib.Path(__file__).parent.parent
+
+# E19-E21 time the fast paths against the reference oracles in
+# tests/oracles.py; make ``tests`` importable however pytest is invoked.
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
 
 
 @pytest.fixture

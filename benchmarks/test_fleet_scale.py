@@ -1,18 +1,20 @@
-"""E19 — fleet scale-out under one discrete-event scheduler.
+"""E19 — fleet scale-out over the shard pool.
 
 Two scale claims from the sim-core refactor, measured:
 
-* **fleet concurrency** — N OLT shards (each with its own tenants, DBA
-  and QoS) run concurrently in simulated time under a single
-  :class:`~repro.common.sim.Scheduler`; the fleet report aggregates
+* **fleet concurrency** — N OLT shards (each with its own tenants, DBA,
+  QoS and discrete-event :class:`~repro.common.sim.Scheduler`) advance in
+  lockstep, monitor boundary by monitor boundary, through
+  ``run_fleet_parallel(workers=1)``; the fleet report aggregates
   throughput, Jain fairness *across OLTs* and abuse-alert latency, and
   two same-seed runs must render byte-identically (the determinism the
-  single-clock design exists to guarantee);
-* **DBA grant cost** — the batched fair-policy grant path against the
-  reference progressive filler at 1k T-CONTs, grant() time only. The
-  batched path caches the flat weight/priority structure at registration
-  and allocates per cycle from immutable snapshots; the target is >= 2x,
-  the in-test floor 1.5x so CI jitter cannot flake the suite.
+  deterministic merge exists to guarantee);
+* **DBA grant cost** — ``DbaScheduler.grant``'s cached flat-array fair
+  path against the per-T-CONT oracle (``tests/oracles.py``) at 1k
+  T-CONTs, grant time only. The fast path caches the flat
+  weight/priority structure at registration and allocates per cycle from
+  immutable snapshots; the target is >= 2x, the in-test floor 1.5x so CI
+  jitter cannot flake the suite.
 """
 
 import time
@@ -21,8 +23,9 @@ import pytest
 
 from repro.common import telemetry
 from repro.traffic.dba import DbaScheduler
-from repro.traffic.fleet import run_fleet_experiment
+from repro.traffic.fleet import run_fleet_parallel
 from repro.traffic.profiles import Request
+from tests.oracles import dba_grant_fair
 
 N_OLTS = 4
 N_TENANTS = 32       # fleet-wide, split across the OLT shards
@@ -47,11 +50,11 @@ def _fresh_registry():
 def test_fleet_scale_concurrent_olts(benchmark, report, bench_record):
     def run_fleet():
         start = time.perf_counter()
-        fleet = run_fleet_experiment(n_olts=N_OLTS, n_tenants=N_TENANTS,
-                                     seconds=SECONDS, seed=SEED)
+        fleet = run_fleet_parallel(n_olts=N_OLTS, n_tenants=N_TENANTS,
+                                   seconds=SECONDS, seed=SEED, workers=1)
         elapsed = time.perf_counter() - start
-        rerun = run_fleet_experiment(n_olts=N_OLTS, n_tenants=N_TENANTS,
-                                     seconds=SECONDS, seed=SEED)
+        rerun = run_fleet_parallel(n_olts=N_OLTS, n_tenants=N_TENANTS,
+                                   seconds=SECONDS, seed=SEED, workers=1)
         return fleet, rerun, elapsed
 
     fleet, rerun, elapsed = benchmark.pedantic(run_fleet, rounds=1,
@@ -68,11 +71,13 @@ def test_fleet_scale_concurrent_olts(benchmark, report, bench_record):
         "",
         f"determinism: same-seed rerun renders "
         f"{'IDENTICAL' if rerun.render() == fleet.render() else 'DIFFERENT'}",
-        f"scheduler events: {fleet.scheduler_events} under one clock "
-        f"({fleet.monitor_passes} fleet monitor passes)",
+        f"scheduler events: {fleet.scheduler_events} across the shard "
+        f"schedulers ({fleet.monitor_passes} fleet monitor passes)",
         "",
-        "reading: the shards share one scheduler, so per-OLT DBA cycles "
-        "interleave deterministically instead of running back-to-back; "
+        "reading: every shard runs on its own scheduler and the pool "
+        "advances them in lockstep, so per-OLT DBA cycles run "
+        "concurrently in simulated time and merge onto the fleet bus in "
+        "deterministic (timestamp, shard, seq) order; "
         "fleet-normalized share gauges let the abuse detector flag the "
         f"one flooder in {latency:g}s with zero false positives across "
         f"{N_TENANTS - 1} benign tenants.",
@@ -90,8 +95,8 @@ def test_fleet_scale_concurrent_olts(benchmark, report, bench_record):
     assert not benign & set(fleet.alert_first_at)
 
 
-def _dba_at_scale(batched: bool) -> DbaScheduler:
-    dba = DbaScheduler(batched=batched)
+def _dba_at_scale() -> DbaScheduler:
+    dba = DbaScheduler()
     for i in range(N_TCONTS):
         tcont = dba.register_tcont(f"S{i:04d}", f"t-{i:04d}",
                                    priority=i % 4,
@@ -102,37 +107,38 @@ def _dba_at_scale(batched: bool) -> DbaScheduler:
     return dba
 
 
-def _time_grants(dba: DbaScheduler) -> float:
+def _time_grants(grant) -> float:
     start = time.perf_counter()
     for _ in range(N_CYCLES):
-        dba.grant(CAPACITY)
+        grant(CAPACITY)
     return time.perf_counter() - start
 
 
 def test_dba_grant_batching_speedup(benchmark, report, bench_record):
     def run_both():
-        reference = _dba_at_scale(batched=False)
-        batched = _dba_at_scale(batched=True)
+        reference = _dba_at_scale()
+        fast = _dba_at_scale()
         # Identical backlog => identical grants, or the speedup is moot.
-        assert batched.grant(CAPACITY) == reference.grant(CAPACITY)
-        return _time_grants(reference), _time_grants(batched)
+        assert fast.grant(CAPACITY) == dba_grant_fair(reference, CAPACITY)
+        return (_time_grants(lambda c: dba_grant_fair(reference, c)),
+                _time_grants(fast.grant))
 
-    reference_s, batched_s = benchmark.pedantic(run_both, rounds=1,
-                                                iterations=1)
-    speedup = reference_s / batched_s if batched_s else float("inf")
+    reference_s, fast_s = benchmark.pedantic(run_both, rounds=1,
+                                             iterations=1)
+    speedup = reference_s / fast_s if fast_s else float("inf")
     bench_record("E19", "dba_batching_speedup", round(speedup, 3), "x")
 
     per_cycle_ref = reference_s / N_CYCLES * 1e3
-    per_cycle_batched = batched_s / N_CYCLES * 1e3
+    per_cycle_fast = fast_s / N_CYCLES * 1e3
     lines = [
         f"E19 — DBA grant batching at {N_TCONTS} T-CONTs "
         f"({N_CYCLES} cycles, {CAPACITY} B capacity)",
         "",
         f"{'path':<22} {'total':>10} {'per cycle':>12}",
-        f"{'reference _fill':<22} {reference_s:>9.3f}s "
+        f"{'oracle (per T-CONT)':<22} {reference_s:>9.3f}s "
         f"{per_cycle_ref:>10.3f}ms",
-        f"{'batched (cached)':<22} {batched_s:>9.3f}s "
-        f"{per_cycle_batched:>10.3f}ms",
+        f"{'grant (cached)':<22} {fast_s:>9.3f}s "
+        f"{per_cycle_fast:>10.3f}ms",
         "",
         f"speedup: {speedup:.2f}x (target 2x, CI floor 1.5x); grants "
         "byte-identical by construction (asserted per run and "

@@ -115,8 +115,7 @@ class DbaScheduler:
     """The OLT's upstream grant allocator across registered T-CONTs."""
 
     def __init__(self, policy: str = "fair", guaranteed_share: float = 0.1,
-                 bus: Optional[EventBus] = None, name: str = "dba",
-                 batched: bool = True) -> None:
+                 bus: Optional[EventBus] = None, name: str = "dba") -> None:
         if policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}")
         if not 0.0 <= guaranteed_share < 1.0:
@@ -128,17 +127,13 @@ class DbaScheduler:
         self._tconts: Dict[int, TCont] = {}
         self._next_alloc_id = 1
         self.cycles_run = 0
-        # ``batched`` amortizes the per-cycle tier setup (priority sort,
-        # alloc-id sort, weight lambdas) across cycles: the tier table is
-        # rebuilt only when registrations change. Grants are byte-for-byte
-        # identical to the reference path (property-tested); keep
-        # ``batched=False`` for the E19 before/after microbenchmark.
-        self.batched = batched
-        # Static structures for the batched path, rebuilt lazily after a
-        # registration: T-CONTs flattened in alloc-id order with parallel
-        # weight arrays, and per-priority index lists (priorities
-        # ascending). Registration-time weight/priority are cached — the
-        # batched path assumes they are not mutated mid-flight.
+        # Static structures for the fair grant, rebuilt lazily after a
+        # registration so the per-cycle tier setup (priority sort,
+        # alloc-id sort, weight lookups) is paid once, not every cycle:
+        # T-CONTs flattened in alloc-id order with parallel weight
+        # arrays, and per-priority index lists (priorities ascending).
+        # Registration-time weight/priority are cached — the fair grant
+        # assumes they are not mutated mid-flight.
         self._flat: Optional[List[TCont]] = None
         self._flat_weights: List[float] = []
         self._flat_alloc_ids: List[int] = []
@@ -178,8 +173,8 @@ class DbaScheduler:
         """
         if capacity_bytes < 0:
             raise ValueError("capacity must be non-negative")
-        if self.batched and self.policy == "fair":
-            backlogged, grants, remaining = self._grant_fair_batched(
+        if self.policy == "fair":
+            backlogged, grants, remaining = self._grant_fair(
                 capacity_bytes, want_backlogged=self._bus is not None)
         else:
             backlogged = [t for t in self._tconts.values()
@@ -187,16 +182,9 @@ class DbaScheduler:
             grants = {t.alloc_id: 0 for t in backlogged}
             remaining = capacity_bytes
             if backlogged and remaining > 0:
-                if self.policy == "fair":
-                    remaining = self._grant_guaranteed(
-                        backlogged, grants, capacity_bytes, remaining)
-                    remaining = self._grant_priority_tiers(
-                        backlogged, grants, remaining)
-                else:
-                    remaining = self._fill(
-                        backlogged, grants, remaining,
-                        lambda t: float(
-                            t.queued_bytes - grants[t.alloc_id]))
+                remaining = self._fill(
+                    backlogged, grants, remaining,
+                    lambda t: float(t.queued_bytes - grants[t.alloc_id]))
         self.cycles_run += 1
         if self._bus is not None:
             granted_total = capacity_bytes - remaining
@@ -209,46 +197,20 @@ class DbaScheduler:
                         for t in backlogged})
         return grants
 
-    def _grant_guaranteed(self, backlogged: Sequence[TCont],
-                          grants: Dict[int, int], capacity: int,
-                          remaining: int) -> int:
-        """The anti-starvation round: a small quantum for every queue."""
-        if self.guaranteed_share <= 0:
-            return remaining
-        quantum = max(1, int(capacity * self.guaranteed_share) // len(backlogged))
-        for tcont in backlogged:
-            if remaining <= 0:
-                break
-            give = min(quantum, tcont.queued_bytes, remaining)
-            grants[tcont.alloc_id] += give
-            remaining -= give
-        return remaining
-
-    def _grant_priority_tiers(self, backlogged: Sequence[TCont],
-                              grants: Dict[int, int], remaining: int) -> int:
-        """Strict priority across tiers, weighted fair filling within one."""
-        for priority in sorted({t.priority for t in backlogged}):
-            if remaining <= 0:
-                break
-            tier = [t for t in backlogged if t.priority == priority]
-            remaining = self._fill(tier, grants, remaining,
-                                   lambda t: t.weight)
-        return remaining
-
-    def _grant_fair_batched(
+    def _grant_fair(
             self, capacity: int, want_backlogged: bool = True
     ) -> Tuple[List[TCont], Dict[int, int], int]:
-        """The batched fair-policy grant: one pass collects backlog into
-        flat parallel arrays (pendings, weights, per-tier index lists),
-        then the guaranteed round and the strict-priority tier walk run on
-        local list indexing only — no per-T-CONT dict lookups, ``min``
-        calls or weight lambdas in the progressive-fill inner loop.
+        """The fair-policy grant: one pass collects backlog into flat
+        parallel arrays (pendings, weights, per-tier index lists), then the
+        guaranteed round and the strict-priority tier walk run on local
+        list indexing only — no per-T-CONT dict lookups, ``min`` calls or
+        weight lambdas in the progressive-fill inner loop.
 
         Iteration order (alloc ids ascending; priorities ascending within
         the tier walk) and quantum arithmetic — including float summation
-        order for tier weights — match the reference
-        ``_grant_guaranteed`` + ``_grant_priority_tiers``/``_fill`` pair
-        exactly, so grants are byte-for-byte identical (property-tested).
+        order for tier weights — match the per-T-CONT oracle built on
+        :meth:`_fill` (``tests/oracles.py``) exactly, so grants are
+        byte-for-byte identical (property-tested).
         """
         flat = self._flat
         if flat is None:

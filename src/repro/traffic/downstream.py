@@ -17,10 +17,9 @@ downstream direction:
   :class:`~repro.traffic.dba.DbaScheduler` allocator the upstream path
   uses — including its registration-time cached flat weight/priority
   arrays, so the per-cycle allocation that feeds the drain loop is
-  array-driven. ``batched=False`` keeps the naive per-queue reference
-  path for the E21 before/after benchmark (allocations are byte-for-byte
-  identical either way, inherited from the DBA property tests and
-  re-asserted in :mod:`tests.test_downstream`).
+  array-driven. Drains are byte-for-byte identical to a naive per-queue
+  reference (``tests/oracles.py``, property-tested in
+  :mod:`tests.test_downstream` and timed against in E21).
 
 The scheduler is clock-agnostic: :meth:`DownstreamScheduler.run_cycle`
 takes ``now`` from its caller (the OLT's ``run_downstream_cycle``, run
@@ -87,21 +86,18 @@ class DownstreamScheduler:
     DEFAULT_QUEUE_LIMIT = 1 << 20     # 1 MiB of OLT buffer per queue
 
     def __init__(self, bus: Optional[EventBus] = None,
-                 name: str = "downstream", batched: bool = True,
-                 guaranteed_share: float = 0.1,
+                 name: str = "downstream", guaranteed_share: float = 0.1,
                  queue_limit_bytes: int = DEFAULT_QUEUE_LIMIT) -> None:
         if queue_limit_bytes <= 0:
             raise ValueError("queue_limit_bytes must be positive")
         self.name = name
-        self.batched = batched
         self.queue_limit_bytes = int(queue_limit_bytes)
         self._bus = bus
         # The allocator publishes no events of its own — this scheduler
         # owns the downstream-flavoured grant event.
         self._allocator = DbaScheduler(policy="fair",
                                        guaranteed_share=guaranteed_share,
-                                       bus=None, name=f"{name}/alloc",
-                                       batched=batched)
+                                       bus=None, name=f"{name}/alloc")
         self._queues: Dict[str, DownstreamQueue] = {}
         self.cycles_run = 0
 
@@ -152,10 +148,10 @@ class DownstreamScheduler:
         """Allocate and drain one downstream frame cycle.
 
         Returns ``tenant -> (sent_bytes, completions)`` for every queue
-        that transmitted. Allocation runs on the DBA allocator (batched
-        flat arrays by default); the drain walks queues in alloc-id
-        order, so the result — like the upstream grant map — is a pure
-        function of registration order, backlog and capacity.
+        that transmitted. Allocation runs on the DBA allocator's cached
+        flat arrays; the drain walks queues in alloc-id order, so the
+        result — like the upstream grant map — is a pure function of
+        registration order, backlog and capacity.
         """
         grants = self._allocator.grant(capacity_bytes, now=now)
         self.cycles_run += 1

@@ -1,41 +1,30 @@
-"""Multi-OLT fleet driver: N PON plants under one discrete-event engine.
+"""Multi-OLT fleet driver: N PON plants advanced in lockstep by a shard pool.
 
-One :class:`~repro.common.sim.Scheduler` owns time for the whole fleet;
-every OLT shard (a :class:`~repro.pon.network.PonNetwork` with its own
-tenants, DBA scheduler and QoS enforcer) registers its traffic-cycle
-task on it, so the shards run *concurrently in simulated time* with
-deterministic, seeded interleaving — the scale-out the single-OLT
-``loadgen`` could not express.
+Each OLT shard (a :class:`~repro.pon.network.PonNetwork` with its own
+tenants, DBA scheduler and QoS enforcer) is fully self-contained: a
+:class:`ShardRunner` owns its clock, discrete-event
+:class:`~repro.common.sim.Scheduler` and bus, so a shard's event stream
+is a function of its :class:`ShardConfig` alone. A :class:`ShardPool`
+advances every shard to the next monitor boundary, either in-process
+(``workers=1``, the default) or in spawn-safe worker processes
+(``workers=N``), and the :class:`ParallelFleetDriver` re-publishes the
+returned :class:`CycleResult` events onto its fleet bus in deterministic
+``(timestamp, shard_index, seq)`` order via
+:meth:`~repro.common.events.EventBus.publish_batch`. Because every shard
+is seeded identically no matter which worker hosts it, the rendered
+fleet report is **byte-identical** for any worker count.
 
 Fleet telemetry is deliberately fleet-normalized: per-OLT generators run
 with telemetry disabled (an OLT-local share gauge would make a benign
-tenant on a quiet OLT look like a noisy neighbour fleet-wide), and a
-periodic monitor task publishes each tenant's share of the *fleet's*
-offered load into a fleet-local registry, which the metrics-driven
-:class:`~repro.security.monitor.abuse.ResourceAbuseDetector` samples.
-Abuse alerts land on the shared bus; the fleet report records per-tenant
+tenant on a quiet OLT look like a noisy neighbour fleet-wide), and the
+monitor pass at each boundary publishes each tenant's share of the
+*fleet's* offered load into a fleet-local registry, which the
+metrics-driven :class:`~repro.security.monitor.abuse.ResourceAbuseDetector`
+samples.
+Abuse alerts land on the fleet bus; the fleet report records per-tenant
 alert latency (first ``monitor.alert`` timestamp), aggregate throughput
 and Jain fairness *across OLTs* — the numbers the DSN paper's monitoring
 lessons (T6-T8, M15/M18) only make quantifiable at fleet scale.
-
-Two execution paths share the same shard construction
-(:func:`fleet_shard_configs`):
-
-* :class:`FleetDriver` — the original single-scheduler path: every shard
-  registers its cycle task on one shared :class:`Scheduler`, so the whole
-  fleet interleaves under one time authority. Kept for E19 and for
-  experiments that need shard events interleaved at cycle granularity.
-* :class:`ParallelFleetDriver` over a :class:`ShardPool` — the scale
-  path. Shards are fully self-contained (own clock, scheduler, bus), so
-  the pool advances each one to the next monitor boundary either
-  in-process (``workers=1``, the default fallback) or in spawn-safe
-  worker processes (``workers=N``). Workers return compact
-  :class:`CycleResult` payloads; the driver re-publishes the captured
-  shard events onto its shared bus in deterministic
-  ``(timestamp, shard_index, seq)`` order via
-  :meth:`~repro.common.events.EventBus.publish_batch`. Because every
-  shard is seeded identically no matter which worker hosts it, the
-  rendered fleet report is **byte-identical** for any worker count.
 """
 
 from __future__ import annotations
@@ -56,10 +45,9 @@ from repro.traffic.loadgen import (
 )
 from repro.traffic.telemetry import OFFERED_SHARE_GAUGE, TrafficTelemetry
 
-__all__ = ["OltShard", "FleetReport", "FleetDriver", "fleet_tenant_specs",
-           "run_fleet_experiment", "ShardConfig", "fleet_shard_configs",
-           "CycleResult", "ShardRunner", "ShardPool", "ParallelFleetDriver",
-           "run_fleet_parallel"]
+__all__ = ["FleetReport", "fleet_tenant_specs", "ShardConfig",
+           "fleet_shard_configs", "CycleResult", "ShardRunner", "ShardPool",
+           "ParallelFleetDriver", "run_fleet_parallel"]
 
 _BENIGN_PROFILES = ("steady", "bursty", "diurnal")
 
@@ -113,7 +101,7 @@ def fleet_shard_configs(n_olts: int, n_tenants: int, seed: int = 0,
                         cycle_s: float = 0.02, rate_bps: float = 100e6,
                         hostile: bool = True,
                         downstream: bool = False) -> List[ShardConfig]:
-    """Split ``n_tenants`` across ``n_olts`` shards (shared by both drivers).
+    """Split ``n_tenants`` across ``n_olts`` shards.
 
     Tenants are dealt as evenly as possible (earlier shards get the
     remainder); with ``hostile`` the first shard's last tenant floods.
@@ -138,20 +126,6 @@ def fleet_shard_configs(n_olts: int, n_tenants: int, seed: int = 0,
 
 
 @dataclass
-class OltShard:
-    """One OLT's slice of the fleet: plant + generator + tenant specs."""
-
-    name: str
-    network: PonNetwork
-    generator: LoadGenerator
-    specs: List[TenantSpec]
-
-    @property
-    def tenant_names(self) -> List[str]:
-        return [spec.tenant for spec in self.specs]
-
-
-@dataclass
 class FleetReport:
     """Per-OLT rows plus the fleet-level aggregates."""
 
@@ -160,7 +134,6 @@ class FleetReport:
     olts: Dict[str, TrafficReport] = field(default_factory=dict)
     hostile_tenants: List[str] = field(default_factory=list)
     alert_first_at: Dict[str, float] = field(default_factory=dict)
-    started_at: float = 0.0
     scheduler_events: int = 0
     monitor_passes: int = 0
 
@@ -192,9 +165,8 @@ class FleetReport:
                            for olt in sorted(self.olts)])
 
     def alert_latency_s(self, tenant: str) -> Optional[float]:
-        """Time from fleet start to the tenant's first abuse alert."""
-        at = self.alert_first_at.get(tenant)
-        return None if at is None else at - self.started_at
+        """Time from fleet start (t=0) to the tenant's first abuse alert."""
+        return self.alert_first_at.get(tenant)
 
     def render(self) -> str:
         n_tenants = sum(len(r.tenants) for r in self.olts.values())
@@ -245,128 +217,6 @@ class FleetReport:
             lines.append("false positives: " + ", ".join(benign_flagged))
         return "\n".join(lines)
 
-
-class FleetDriver:
-    """Runs N OLT shards concurrently under one sim scheduler."""
-
-    def __init__(self, n_olts: int = 4, n_tenants: int = 32, seed: int = 0,
-                 cycle_s: float = 0.02, rate_bps: float = 100e6,
-                 hostile: bool = True,
-                 monitor_interval_s: float = 0.1,
-                 alert_persistence: int = 2,
-                 downstream: bool = False) -> None:
-        if n_olts < 1:
-            raise ValueError("need at least one OLT")
-        if n_tenants < n_olts:
-            raise ValueError("need at least one tenant per OLT")
-        if monitor_interval_s <= 0:
-            raise ValueError("monitor interval must be positive")
-        self.seed = seed
-        self.monitor_interval_s = monitor_interval_s
-        self.clock = SimClock()
-        self.bus = EventBus()
-        self.scheduler = Scheduler(clock=self.clock, seed=seed)
-        # Fleet-local registry: the abuse detector samples *fleet*
-        # shares, never the process-wide registry of whoever embeds us.
-        self.registry = MetricsRegistry()
-        self._offered_gauge = self.registry.gauge(
-            OFFERED_SHARE_GAUGE,
-            "Fraction of fleet-wide offered upstream load, per tenant.",
-            ("tenant",))
-        # Persistence > 1 is the alert-fatigue knob: a bursty tenant's
-        # spike breaches one monitor pass, a flooder breaches them all.
-        self.detector = ResourceAbuseDetector(
-            registry=self.registry, bus=self.bus,
-            persistence=alert_persistence)
-        self.falco = FalcoEngine()
-        self.falco.attach(self.bus)
-        self.alert_first_at: Dict[str, float] = {}
-        self.bus.subscribe("monitor.alert", self._on_alert)
-        self.monitor_passes = 0
-
-        self.shards: List[OltShard] = []
-        for config in fleet_shard_configs(n_olts, n_tenants, seed=seed,
-                                          cycle_s=cycle_s, rate_bps=rate_bps,
-                                          hostile=hostile,
-                                          downstream=downstream):
-            network = PonNetwork.build(config.name,
-                                       clock=self.clock, bus=self.bus)
-            generator = LoadGenerator(
-                network, list(config.specs), cycle_s=cycle_s, seed=seed,
-                sim=self.scheduler, downstream=config.downstream,
-                traffic_telemetry=TrafficTelemetry.disabled())
-            self.shards.append(OltShard(name=config.name,
-                                        network=network,
-                                        generator=generator,
-                                        specs=list(config.specs)))
-
-    # -- monitoring --------------------------------------------------------------
-
-    def _on_alert(self, event: Event) -> None:
-        summary = str(event.payload.get("summary", ""))
-        token = summary.split(" ", 1)[0]
-        if token.startswith("tenant="):
-            self.alert_first_at.setdefault(token[len("tenant="):],
-                                           event.timestamp)
-
-    def _monitor_pass(self) -> None:
-        """Publish fleet-normalized offered shares, then sample them."""
-        self.monitor_passes += 1
-        offered: Dict[str, int] = {}
-        for shard in self.shards:
-            offered.update(shard.generator.offered_totals())
-        total = sum(offered.values())
-        for tenant in sorted(offered):
-            share = offered[tenant] / total if total else 0.0
-            self._offered_gauge.set(round(share, 6), tenant=tenant)
-        self.detector.sample_metrics(now=self.scheduler.now)
-
-    # -- the run -----------------------------------------------------------------
-
-    def run(self, seconds: float) -> FleetReport:
-        """Drive every shard for ``seconds`` of simulated time."""
-        if seconds <= 0:
-            raise ValueError("duration must be positive")
-        started_at = self.clock.now
-        for shard in self.shards:
-            shard.generator.start(seconds)
-        # All generators share cycle_s, so they agree on the horizon.
-        duration = self.shards[0].generator.n_cycles \
-            * self.shards[0].generator.cycle_s
-        end = started_at + duration
-        self.scheduler.every(self.monitor_interval_s, self._monitor_pass,
-                             name="fleet/monitor", until=end)
-        self.falco.schedule_stats(self.scheduler, self.monitor_interval_s,
-                                  until=end)
-        self.scheduler.run_until(end)
-
-        report = FleetReport(
-            duration_s=duration, seed=self.seed, started_at=started_at,
-            scheduler_events=self.scheduler.events_fired,
-            monitor_passes=self.monitor_passes,
-            alert_first_at=dict(self.alert_first_at),
-            hostile_tenants=[spec.tenant for shard in self.shards
-                             for spec in shard.specs
-                             if spec.profile == "hostile"])
-        for shard in self.shards:
-            report.olts[shard.name] = shard.generator.report()
-        return report
-
-
-def run_fleet_experiment(n_olts: int = 4, n_tenants: int = 32,
-                         seconds: float = 2.0, seed: int = 0,
-                         hostile: bool = True,
-                         cycle_s: float = 0.02,
-                         downstream: bool = False) -> FleetReport:
-    """Stand up a fleet and run it — the E19 / CLI entry point."""
-    driver = FleetDriver(n_olts=n_olts, n_tenants=n_tenants, seed=seed,
-                         hostile=hostile, cycle_s=cycle_s,
-                         downstream=downstream)
-    return driver.run(seconds)
-
-
-# ---------------------------------------------------------------------------
-# Parallel execution path: self-contained shards behind a worker pool.
 
 # One captured bus event, ready to pickle across a process boundary:
 # (timestamp, shard-local publish seq, topic, source, payload).
@@ -494,6 +344,10 @@ class ShardPool:
     fork-safety-agnostic) and deals shards round-robin across them.
     Results always come back sorted by shard index, so callers never see
     worker assignment.
+
+    A pool is single-use: shards cannot be rewound, so a second
+    :meth:`start` or any call after :meth:`close` raises
+    :class:`RuntimeError`.
     """
 
     def __init__(self, configs: Sequence[ShardConfig],
@@ -507,6 +361,8 @@ class ShardPool:
         self._local: List[ShardRunner] = []
         self._procs: List[mp.process.BaseProcess] = []
         self._conns: List[Any] = []
+        self._started = False
+        self._closed = False
         if self.workers == 1:
             self._local = [ShardRunner(config) for config in self.configs]
             return
@@ -532,9 +388,20 @@ class ShardPool:
             conn.send((command, arg))
         return [item for conn in self._conns for item in conn.recv()]
 
+    def _require_open(self) -> None:
+        if self._closed:
+            raise RuntimeError("shard pool is closed; build a new pool "
+                               "(or fleet driver) to run again")
+
     def start(self, seconds: float) -> int:
         """Register every shard's cycle task; returns the cycle count
         (identical across shards — they share ``cycle_s``)."""
+        self._require_open()
+        if self._started:
+            raise RuntimeError("shard pool already run; shards cannot be "
+                               "rewound, so build a new pool (or fleet "
+                               "driver) for another run")
+        self._started = True
         if self._local:
             counts = [runner.start(seconds) for runner in self._local]
         else:
@@ -543,6 +410,7 @@ class ShardPool:
 
     def advance(self, until: float) -> List[CycleResult]:
         """Advance every shard to ``until``; results in shard-index order."""
+        self._require_open()
         if self._local:
             results = [runner.advance(until) for runner in self._local]
         else:
@@ -552,6 +420,7 @@ class ShardPool:
 
     def reports(self) -> Dict[str, TrafficReport]:
         """Per-shard traffic reports, keyed and ordered by shard name."""
+        self._require_open()
         if self._local:
             pairs = [(runner.name, runner.report())
                      for runner in self._local]
@@ -576,6 +445,7 @@ class ShardPool:
         self._procs = []
         self._conns = []
         self._local = []
+        self._closed = True
 
     def __enter__(self) -> "ShardPool":
         return self
@@ -612,12 +482,15 @@ class ParallelFleetDriver:
             rate_bps=rate_bps, hostile=hostile, downstream=downstream)
         self.pool = ShardPool(self.configs, workers=workers)
         self.bus = EventBus()
-        # Fleet-local registry, same rationale as FleetDriver.
+        # Fleet-local registry: the abuse detector samples *fleet*
+        # shares, never the process-wide registry of whoever embeds us.
         self.registry = MetricsRegistry()
         self._offered_gauge = self.registry.gauge(
             OFFERED_SHARE_GAUGE,
             "Fraction of fleet-wide offered upstream load, per tenant.",
             ("tenant",))
+        # Persistence > 1 is the alert-fatigue knob: a bursty tenant's
+        # spike breaches one monitor pass, a flooder breaches them all.
         self.detector = ResourceAbuseDetector(
             registry=self.registry, bus=self.bus,
             persistence=alert_persistence)
@@ -686,7 +559,7 @@ class ParallelFleetDriver:
                           rule_evaluations=self.falco.rule_evaluations,
                           alerts=len(self.falco.alerts))
         report = FleetReport(
-            duration_s=duration, seed=self.seed, started_at=0.0,
+            duration_s=duration, seed=self.seed,
             scheduler_events=events_fired + self.monitor_passes,
             monitor_passes=self.monitor_passes,
             alert_first_at=dict(self.alert_first_at),
@@ -704,7 +577,7 @@ def run_fleet_parallel(n_olts: int = 4, n_tenants: int = 32,
                        hostile: bool = True, cycle_s: float = 0.02,
                        workers: int = 1,
                        downstream: bool = False) -> FleetReport:
-    """Stand up a sharded fleet and run it — the E20 / CLI entry point."""
+    """Stand up a sharded fleet and run it — the CLI/E19/E20 entry point."""
     driver = ParallelFleetDriver(n_olts=n_olts, n_tenants=n_tenants,
                                  seed=seed, hostile=hostile,
                                  cycle_s=cycle_s, workers=workers,

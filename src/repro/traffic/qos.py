@@ -197,8 +197,9 @@ class QosEnforcer:
         aggregate token spend for the cycle, and telemetry is batched
         into one counter ``inc`` per ``(tenant, outcome)`` instead of one
         per request. Per-request decisions replicate :meth:`submit`'s
-        arithmetic exactly — the slower :meth:`admit_reference` is the
-        oracle a property test pins this path against.
+        arithmetic exactly — a property test pins this path against the
+        per-request oracle (:meth:`submit` per request) in
+        ``tests/oracles.py``.
         """
         admitted: List[Request] = []
         for policy in self._policies.values():
@@ -221,23 +222,6 @@ class QosEnforcer:
                 cursors[request.tenant] = index + 1
                 if outcomes[request.tenant][index]:
                     admitted.append(request)
-        self.cycle_end(now)
-        return admitted
-
-    def admit_reference(self, requests: List[Request],
-                        now: float) -> List[Request]:
-        """The per-request admission path :meth:`admit` must match.
-
-        Kept as the oracle: property tests assert :meth:`admit` produces
-        identical outcomes, policy state and bus events, and the E20
-        benchmark measures the vectorized path's speedup against it.
-        """
-        admitted: List[Request] = []
-        for policy in self._policies.values():
-            admitted.extend(self._drain_queue(policy, now))
-        for request in requests:
-            if self.submit(request, now) == "admitted":
-                admitted.append(request)
         self.cycle_end(now)
         return admitted
 

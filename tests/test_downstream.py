@@ -1,7 +1,7 @@
 """Tests for the downstream scheduling plane (PR 5 tentpole).
 
 Covers the bounded per-ONU queues, the strict-priority/weighted-fair
-drain (batched flat arrays vs the naive reference), the OLT cycle
+drain (cached flat arrays vs the naive oracle), the OLT cycle
 wiring, the bidirectional load generator, and the CLI flags.
 """
 
@@ -20,6 +20,7 @@ from repro.traffic import (
 from repro.traffic.telemetry import (
     DOWNSTREAM_QUEUE_GAUGE, DOWNSTREAM_THROUGHPUT_GAUGE,
 )
+from tests.oracles import downstream_run_cycle
 
 
 @pytest.fixture(autouse=True)
@@ -66,8 +67,8 @@ class TestDownstreamQueue:
 # ---------------------------------------------------------------------------
 
 
-def _loaded(setup, batched=True):
-    scheduler = DownstreamScheduler(batched=batched)
+def _loaded(setup, bus=None):
+    scheduler = DownstreamScheduler(bus=bus)
     for index, (priority, weight, backlog) in enumerate(setup):
         scheduler.register_queue(f"ONU{index}", f"tenant-{index}",
                                  priority=priority, weight=weight)
@@ -136,10 +137,13 @@ class TestDownstreamScheduler:
         st.integers(min_value=0, max_value=2_000_000))
     @settings(max_examples=60, deadline=None)
     def test_batched_drain_matches_naive_reference(self, setup, capacity):
-        fast = _loaded(setup, batched=True)
-        reference = _loaded(setup, batched=False)
+        fast_bus, reference_bus = EventBus(), EventBus()
+        fast = _loaded(setup, fast_bus)
+        reference = _loaded(setup, reference_bus)
         assert fast.run_cycle(capacity, now=0.02) \
-            == reference.run_cycle(capacity, now=0.02)
+            == downstream_run_cycle(reference, capacity, now=0.02)
+        assert ([e.payload for e in fast_bus.history()]
+                == [e.payload for e in reference_bus.history()])
 
     def test_grant_event_mirrors_dba_grant(self):
         bus = EventBus()

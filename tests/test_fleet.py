@@ -1,18 +1,19 @@
-"""The multi-OLT fleet driver: concurrent shards under one scheduler,
-fleet-normalized abuse detection, and the fleet CLI subcommand."""
+"""The multi-OLT fleet driver: shards advanced in lockstep by the
+in-process shard pool (``workers=1``), fleet-normalized abuse detection,
+and the fleet CLI subcommand."""
 
 import pytest
 
 from repro.security.comms.keyrotation import KeyRotationService
 from repro.traffic.fleet import (
-    FleetDriver, fleet_tenant_specs, run_fleet_experiment,
+    ParallelFleetDriver, fleet_tenant_specs, run_fleet_parallel,
 )
 
 
 def small_fleet(**overrides):
     defaults = dict(n_olts=2, n_tenants=6, seed=3)
     defaults.update(overrides)
-    return FleetDriver(**defaults)
+    return ParallelFleetDriver(**defaults)
 
 
 class TestFleetTenantSpecs:
@@ -39,20 +40,15 @@ class TestFleetTenantSpecs:
 
 class TestFleetDriver:
     def test_tenants_split_across_shards_with_remainder_first(self):
-        driver = FleetDriver(n_olts=4, n_tenants=10, seed=0)
-        counts = [len(shard.specs) for shard in driver.shards]
+        driver = ParallelFleetDriver(n_olts=4, n_tenants=10, seed=0)
+        counts = [len(runner.generator.specs) for runner in driver.pool._local]
         assert counts == [3, 3, 2, 2]
         assert sum(counts) == 10
 
-    def test_shards_share_one_scheduler_and_clock(self):
-        driver = small_fleet()
-        assert len({id(s.generator.sim) for s in driver.shards}) == 1
-        assert len({id(s.network.clock) for s in driver.shards}) == 1
-        assert driver.shards[0].generator.sim is driver.scheduler
-
     def test_run_reports_every_shard_concurrently(self):
         driver = small_fleet()
-        trace = driver.scheduler.enable_trace()
+        traces = [runner.scheduler.enable_trace()
+                  for runner in driver.pool._local]
         report = driver.run(0.2)
         assert sorted(report.olts) == ["olt-1", "olt-2"]
         for olt_report in report.olts.values():
@@ -60,7 +56,8 @@ class TestFleetDriver:
                        for row in olt_report.tenants.values())
         # Both shards' cycle tasks fire at the same instants — truly
         # concurrent in simulated time, not sequential runs.
-        at_zero = {name for when, name in trace if when == 0.0}
+        at_zero = {name for trace in traces
+                   for when, name in trace if when == 0.0}
         assert at_zero == {"olt-1/traffic-cycle", "olt-2/traffic-cycle"}
         assert report.fleet_throughput_bps > 0
         assert 0.0 < report.jain_across_olts() <= 1.0
@@ -91,21 +88,22 @@ class TestFleetDriver:
         # Shares live in the fleet's own registry; the generators were
         # built with telemetry disabled.
         assert "traffic_tenant_offered_share" in driver.registry
-        for shard in driver.shards:
-            assert not shard.generator.telemetry.enabled
+        for runner in driver.pool._local:
+            assert not runner.generator.telemetry.enabled
 
-    def test_security_cadence_rides_the_fleet_scheduler(self):
+    def test_security_cadence_rides_a_shard_scheduler(self):
         driver = small_fleet()
-        rotation = KeyRotationService(driver.shards[0].network, period_s=0.1)
-        rotation.schedule(driver.scheduler, horizon_s=0.5)
+        runner = driver.pool._local[0]
+        rotation = KeyRotationService(runner.network, period_s=0.1)
+        rotation.schedule(runner.scheduler, horizon_s=0.5)
         driver.run(0.5)
         assert len(rotation.history) == 5
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            FleetDriver(n_olts=0)
+            ParallelFleetDriver(n_olts=0)
         with pytest.raises(ValueError):
-            FleetDriver(n_olts=4, n_tenants=3)
+            ParallelFleetDriver(n_olts=4, n_tenants=3)
         with pytest.raises(ValueError):
             small_fleet().run(0.0)
 
@@ -138,9 +136,9 @@ class TestFleetCli:
         assert "error:" in capsys.readouterr().err
 
 
-class TestRunFleetExperiment:
+class TestRunFleetParallel:
     def test_convenience_wrapper(self):
-        report = run_fleet_experiment(n_olts=2, n_tenants=4, seconds=0.2,
-                                      seed=1)
+        report = run_fleet_parallel(n_olts=2, n_tenants=4, seconds=0.2,
+                                    seed=1)
         assert len(report.olts) == 2
         assert report.duration_s == pytest.approx(0.2)

@@ -12,19 +12,19 @@ import pytest
 
 from repro.__main__ import main
 from repro.traffic.fleet import (
-    CycleResult, FleetDriver, ParallelFleetDriver, ShardConfig, ShardPool,
+    CycleResult, ParallelFleetDriver, ShardConfig, ShardPool,
     ShardRunner, fleet_shard_configs, run_fleet_parallel,
 )
 
 
 class TestShardConfigs:
-    def test_split_matches_the_legacy_driver(self):
+    def test_split_matches_the_driver_shards(self):
         configs = fleet_shard_configs(4, 10)
         assert [len(c.specs) for c in configs] == [3, 3, 2, 2]
-        driver = FleetDriver(n_olts=4, n_tenants=10)
+        driver = ParallelFleetDriver(n_olts=4, n_tenants=10)
         assert ([[s.tenant for s in c.specs] for c in configs]
-                == [[s.tenant for s in shard.specs]
-                    for shard in driver.shards])
+                == [[s.tenant for s in runner.generator.specs]
+                    for runner in driver.pool._local])
 
     def test_hostile_only_on_the_first_shard(self):
         profiles = [[s.profile for s in c.specs]
@@ -159,6 +159,26 @@ class TestParallelDriver:
                 driver.run(0)
         finally:
             driver.pool.close()
+
+    def test_second_run_says_already_run(self):
+        driver = ParallelFleetDriver(n_olts=2, n_tenants=4)
+        try:
+            driver.run(0.1)
+            with pytest.raises(RuntimeError, match="already run"):
+                driver.run(0.1)
+        finally:
+            driver.pool.close()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_after_close_says_pool_is_closed(self, workers):
+        driver = ParallelFleetDriver(n_olts=2, n_tenants=4, workers=workers)
+        driver.pool.close()
+        with pytest.raises(RuntimeError, match="pool is closed"):
+            driver.run(0.1)
+        with pytest.raises(RuntimeError, match="pool is closed"):
+            driver.pool.advance(0.1)
+        with pytest.raises(RuntimeError, match="pool is closed"):
+            driver.pool.reports()
 
 
 class TestFleetWorkersCli:

@@ -201,8 +201,8 @@ class TestPeachProperties:
 
 
 class TestDbaBatchingProperties:
-    """The batched fair-policy grant path must be byte-identical to the
-    reference (guaranteed round + progressive tier fill) it replaces."""
+    """The cached flat-array fair grant must be byte-identical to the
+    per-T-CONT oracle (guaranteed round + progressive tier fill)."""
 
     _tcont_config = st.lists(
         st.tuples(st.integers(min_value=0, max_value=3),      # priority
@@ -218,9 +218,10 @@ class TestDbaBatchingProperties:
                                             guaranteed):
         from repro.traffic.dba import DbaScheduler
         from repro.traffic.profiles import Request
+        from tests.oracles import dba_grant_fair
 
-        def build(batched):
-            dba = DbaScheduler(guaranteed_share=guaranteed, batched=batched)
+        def build():
+            dba = DbaScheduler(guaranteed_share=guaranteed)
             for i, (priority, weight, queued) in enumerate(config):
                 tcont = dba.register_tcont(f"S{i}", f"t-{i}",
                                            priority=priority, weight=weight)
@@ -229,17 +230,17 @@ class TestDbaBatchingProperties:
                                         issued_at=0.0))
             return dba
 
-        reference = build(batched=False).grant(capacity)
-        batched = build(batched=True).grant(capacity)
+        reference = dba_grant_fair(build(), capacity)
+        batched = build().grant(capacity)
         assert batched == reference
         total_backlog = sum(q for _, _, q in config)
         assert sum(batched.values()) == min(capacity, total_backlog)
 
 
 class TestFleetDeterminismProperties:
-    """Same seed + same fleet config => byte-identical event ordering and
-    final metrics across independent runs (the reproducibility the sim
-    refactor exists to guarantee)."""
+    """Same seed + same fleet config => byte-identical merged event stream
+    on the fleet bus and final metrics across independent runs (the
+    reproducibility the sim refactor exists to guarantee)."""
 
     @given(st.integers(min_value=0, max_value=2**31),
            st.integers(min_value=1, max_value=3),
@@ -248,18 +249,24 @@ class TestFleetDeterminismProperties:
     @settings(max_examples=8, deadline=None)
     def test_same_seed_identical_trace_and_report(self, seed, n_olts,
                                                   n_tenants, hostile):
-        from repro.traffic.fleet import FleetDriver
+        from repro.traffic.fleet import ParallelFleetDriver
         assume(n_tenants >= n_olts)
 
         def run():
-            driver = FleetDriver(n_olts=n_olts, n_tenants=n_tenants,
-                                 seed=seed, hostile=hostile)
-            trace = driver.scheduler.enable_trace()
-            report = driver.run(0.2)
-            return list(trace), report.render(), report.alert_first_at
+            driver = ParallelFleetDriver(n_olts=n_olts, n_tenants=n_tenants,
+                                         seed=seed, hostile=hostile)
+            stream = []
+            driver.bus.subscribe("", lambda e: stream.append(
+                (e.topic, e.source, e.timestamp, e.payload)))
+            try:
+                report = driver.run(0.2)
+            finally:
+                driver.pool.close()
+            return stream, report.render(), report.alert_first_at
 
         first_trace, first_render, first_alerts = run()
         second_trace, second_render, second_alerts = run()
+        assert first_trace
         assert first_trace == second_trace
         assert first_render == second_render
         assert first_alerts == second_alerts

@@ -18,6 +18,7 @@ from repro.traffic import (
     run_genio_traffic, run_traffic_experiment,
 )
 from repro.traffic.telemetry import CPU_SHARE_GAUGE, OFFERED_SHARE_GAUGE
+from tests.oracles import qos_admit
 
 
 @pytest.fixture(autouse=True)
@@ -473,7 +474,7 @@ class TestVectorizedAdmitMatchesReference:
             now = index * 0.02
             requests = [Request(f"t{t}", size, now) for t, size in cycle]
             assert (fast.admit(list(requests), now)
-                    == reference.admit_reference(list(requests), now))
+                    == qos_admit(reference, list(requests), now))
         for tenant in ("t0", "t1"):
             a, b = fast.policy(tenant), reference.policy(tenant)
             assert a.admitted_bytes == b.admitted_bytes
@@ -495,7 +496,7 @@ class TestVectorizedAdmitMatchesReference:
             now = index * 0.02
             requests = [Request(f"t{t}", size, now) for t, size in cycle]
             fast.admit(list(requests), now)
-            reference.admit_reference(list(requests), now)
+            qos_admit(reference, list(requests), now)
         for metric in ("traffic_requests_total", "traffic_bytes_total"):
             for tenant in ("t0", "t1"):
                 for outcome in ("admitted", "released", "dropped"):
@@ -767,9 +768,9 @@ class TestTerminalOutcomeInvariant:
             now = index * 0.001
             batch = [Request("t", 700, now), Request("t", 900, now)]
             offered += len(batch)
-            qos.admit_reference(batch, now)
-        qos.admit_reference([], now=10.0)
-        qos.admit_reference([], now=20.0)
+            qos_admit(qos, batch, now)
+        qos_admit(qos, [], now=10.0)
+        qos_admit(qos, [], now=20.0)
         assert registry.get("traffic_requests_total").total() == offered
 
 
