@@ -21,7 +21,7 @@ import pytest
 
 from repro.common import telemetry
 from repro.traffic.downstream import DownstreamScheduler
-from repro.traffic.profiles import Request
+from repro.traffic.batch import RequestBatch
 from tests.oracles import downstream_run_cycle
 
 N_QUEUES = 1000
@@ -52,11 +52,9 @@ def _cycle_requests(cycle: int, now: float):
     # Heterogeneous sizes: many queues' demand sits below their weighted
     # fair share, so each tier's progressive fill runs several
     # redistribution rounds instead of one saturating pass.
-    requests = []
-    for i in range(N_QUEUES):
-        size = 200 + ((cycle * 7 + i * 13) % 4800)
-        requests.append(Request(f"t{i:04d}", size, now))
-    return requests
+    return [RequestBatch(f"t{i:04d}", now,
+                         [200 + ((cycle * 7 + i * 13) % 4800)])
+            for i in range(N_QUEUES)]
 
 
 def test_array_driven_drain_speedup(benchmark, report, bench_record):
@@ -69,9 +67,9 @@ def test_array_driven_drain_speedup(benchmark, report, bench_record):
         try:
             for cycle in range(N_CYCLES):
                 now = cycle * CYCLE_S
-                for request in _cycle_requests(cycle, now):
-                    fast.enqueue(request)
-                    reference.enqueue(request)
+                for batch in _cycle_requests(cycle, now):
+                    fast.enqueue(batch)
+                    reference.enqueue(batch)
                 start = time.perf_counter()
                 fast_results = fast.run_cycle(CAPACITY, now=now)
                 fast_s += time.perf_counter() - start

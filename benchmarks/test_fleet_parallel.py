@@ -15,12 +15,15 @@ Three measurements from the shard-and-batch refactor:
   over the same pre-built event list, subscribers and metrics attached:
   the cached delivery plan is shared, but history trim and counter
   updates amortise across the batch.
-* **vectorized QoS admission** — ``admit`` vs the per-request oracle
-  (``tests/oracles.py``: ``qos_admit``) on identical per-cycle request
-  streams across 64 tenants: one refill and
-  one aggregate token writeback per bucket per cycle, one counter inc
-  per (tenant, outcome). Outcomes are asserted equal per cycle (and
-  property-tested in tests/test_traffic.py).
+* **vectorized QoS admission** — ``admit`` on one request batch per
+  tenant vs the per-request oracle (``tests/oracles.py``:
+  ``PerRequestQos``) on the same requests one object at a time, across
+  64 tenants: one refill and one aggregate token writeback per bucket
+  per cycle, one counter inc per (tenant, outcome). Each tenant's
+  admitted requests are asserted equal per cycle (each tenant has its
+  own T-CONT, so the order across tenants is not observable), and the
+  state, events and counters are property-tested in
+  tests/test_traffic.py.
 """
 
 import os
@@ -30,10 +33,10 @@ import pytest
 
 from repro.common import telemetry
 from repro.common.events import Event, EventBus
+from repro.traffic.batch import RequestBatch
 from repro.traffic.fleet import run_fleet_parallel
-from repro.traffic.profiles import Request
 from repro.traffic.qos import QosEnforcer
-from tests.oracles import qos_admit
+from tests.oracles import PerRequestQos, per_tenant
 
 N_OLTS = 32
 N_TENANTS = 128
@@ -176,39 +179,42 @@ def test_publish_batch_speedup(benchmark, report, bench_record):
     assert speedup >= 1.1
 
 
-def _qos_at_scale() -> QosEnforcer:
-    qos = QosEnforcer(bus=EventBus(),
-                      registry=telemetry.MetricsRegistry())
+def _qos_at_scale(cls):
+    qos = cls(bus=EventBus(), registry=telemetry.MetricsRegistry())
     for i in range(N_QOS_TENANTS):
-        # Rates low enough that the streams exercise all three outcomes.
-        qos.add_tenant(f"t{i:02d}", rate_bps=1e6)
+        # Rates low enough that the streams exercise all three outcomes;
+        # burst and queue limit are QosEnforcer's defaults for 1 Mbps.
+        qos.add_tenant(f"t{i:02d}", rate_bps=1e6, burst_bytes=12_500,
+                       queue_limit_bytes=50_000)
     return qos
 
 
-def _qos_requests(cycle: int, now: float):
-    requests = []
-    for i in range(N_QOS_TENANTS):
-        for k in range(4):
-            size = 400 + ((cycle * 7 + i * 13 + k * 29) % 1800)
-            requests.append(Request(f"t{i:02d}", size, now))
-    return requests
+def _qos_batches(cycle: int, now: float):
+    return [RequestBatch(f"t{i:02d}", now,
+                         [400 + ((cycle * 7 + i * 13 + k * 29) % 1800)
+                          for k in range(4)])
+            for i in range(N_QOS_TENANTS)]
 
 
 def test_vectorized_admit_speedup(benchmark, report, bench_record):
     def run_both():
-        fast, reference = _qos_at_scale(), _qos_at_scale()
+        fast = _qos_at_scale(QosEnforcer)
+        reference = _qos_at_scale(PerRequestQos)
         fast_s = reference_s = 0.0
         for cycle in range(N_QOS_CYCLES):
             now = cycle * QOS_CYCLE_S
-            requests = _qos_requests(cycle, now)
+            batches = _qos_batches(cycle, now)
+            requests = [r for batch in batches for r in batch]
             start = time.perf_counter()
-            fast_admitted = fast.admit(list(requests), now)
+            fast_admitted = fast.admit(batches, now)
             fast_s += time.perf_counter() - start
             start = time.perf_counter()
-            reference_admitted = qos_admit(reference, list(requests), now)
+            reference_admitted = reference.admit(requests, now)
             reference_s += time.perf_counter() - start
-            # Identical outcomes, or the speedup is moot.
-            assert fast_admitted == reference_admitted
+            # Identical outcomes per tenant, or the speedup is moot.
+            assert (per_tenant(r for batch in fast_admitted
+                                for r in batch)
+                    == per_tenant(reference_admitted))
         return reference_s, fast_s
 
     reference_s, fast_s = benchmark.pedantic(run_both, rounds=1,

@@ -24,7 +24,7 @@ import pytest
 from repro.common import telemetry
 from repro.traffic.dba import DbaScheduler
 from repro.traffic.fleet import run_fleet_parallel
-from repro.traffic.profiles import Request
+from repro.traffic.batch import RequestBatch
 from tests.oracles import dba_grant_fair
 
 N_OLTS = 4
@@ -101,9 +101,8 @@ def _dba_at_scale() -> DbaScheduler:
         tcont = dba.register_tcont(f"S{i:04d}", f"t-{i:04d}",
                                    priority=i % 4,
                                    weight=1.0 + (i % 5) * 0.5)
-        tcont.offer(Request(tenant=f"t-{i:04d}",
-                            size_bytes=500 + (i * 37) % 9000,
-                            issued_at=0.0))
+        tcont.offer(RequestBatch(f"t-{i:04d}", 0.0,
+                                 [500 + (i * 37) % 9000]))
     return dba
 
 

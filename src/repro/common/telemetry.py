@@ -175,11 +175,17 @@ class _MetricFamily:
         raise NotImplementedError
 
     def _child(self, labels: Mapping[str, object]):
-        if set(labels) != set(self.labelnames):
+        # Label names are unique, so a hit for every name plus an equal
+        # count is set equality without building two sets per call.
+        names = self.labelnames
+        try:
+            key = tuple([str(labels[name]) for name in names])
+        except KeyError:
+            key = None
+        if key is None or len(labels) != len(names):
             raise ValueError(
-                f"{self.name}: expected labels {self.labelnames}, "
+                f"{self.name}: expected labels {names}, "
                 f"got {tuple(sorted(labels))}")
-        key = tuple(str(labels[name]) for name in self.labelnames)
         child = self._children.get(key)
         if child is None:
             child = self._children[key] = self._make_child()

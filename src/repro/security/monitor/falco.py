@@ -71,6 +71,34 @@ class Alert:
     summary: str
 
 
+class _RuleList(list):
+    """A rule list that calls ``on_change`` before every mutation."""
+
+    __slots__ = ("_on_change",)
+
+    def __init__(self, rules: Sequence[FalcoRule],
+                 on_change: Callable[[], None]) -> None:
+        super().__init__(rules)
+        self._on_change = on_change
+
+
+def _invalidating(name: str) -> Callable[..., object]:
+    method = getattr(list, name)
+
+    def mutate(self: _RuleList, *args: object, **kwargs: object) -> object:
+        self._on_change()
+        return method(self, *args, **kwargs)
+
+    mutate.__name__ = name
+    return mutate
+
+
+for _name in ("__setitem__", "__delitem__", "__iadd__", "__imul__",
+              "append", "extend", "insert", "pop", "remove", "clear",
+              "sort", "reverse"):
+    setattr(_RuleList, _name, _invalidating(_name))
+
+
 class FalcoEngine:
     """The monitoring engine attached to an event bus.
 
@@ -83,7 +111,10 @@ class FalcoEngine:
 
     def __init__(self, rules: Optional[Sequence[FalcoRule]] = None,
                  publish_alerts: bool = False) -> None:
-        self.rules = list(rules if rules is not None else default_rules())
+        # topic -> the rules that apply to it, in rule order; dropped
+        # whenever ``rules`` changes (see _RuleList).
+        self._by_topic: Dict[str, Tuple[FalcoRule, ...]] = {}
+        self.rules = rules if rules is not None else default_rules()
         self.alerts: List[Alert] = []
         self.events_processed = 0
         self.rule_evaluations = 0
@@ -103,6 +134,25 @@ class FalcoEngine:
             self._errors_counter = metrics.counter(
                 "falco_rule_errors_total", "Broken-rule exceptions, by rule.",
                 ("rule",))
+
+    @property
+    def rules(self) -> List[FalcoRule]:
+        """The rule set, in evaluation order. Any change to the list, or
+        assigning a new one, re-indexes the rules by topic; a rule's
+        ``topics`` are read when it is indexed."""
+        return self._rules
+
+    @rules.setter
+    def rules(self, rules: Sequence[FalcoRule]) -> None:
+        self._rules = _RuleList(rules, self._by_topic.clear)
+        self._by_topic.clear()
+
+    def _rules_for(self, topic: str) -> Tuple[FalcoRule, ...]:
+        rules = self._by_topic.get(topic)
+        if rules is None:
+            rules = self._by_topic[topic] = tuple(
+                rule for rule in self._rules if rule.applies_to(topic))
+        return rules
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -133,9 +183,7 @@ class FalcoEngine:
         metrics = self._metrics
         if metrics is not None:
             self._events_counter.inc()
-        for rule in self.rules:
-            if not rule.applies_to(event.topic):
-                continue
+        for rule in self._rules_for(event.topic):
             self.rule_evaluations += 1
             if metrics is not None:
                 self._evaluations_counter.inc()

@@ -6,6 +6,8 @@ upstream, so "monopolizing resources" (T8) and its mitigations —
 admission control, DBA fairness, metrics-driven abuse detection — are
 measurable rather than asserted.
 
+* :mod:`repro.traffic.batch` — columnar per-tenant request batches and
+  the chunk FIFO both the QoS queue and the T-CONT backlog use;
 * :mod:`repro.traffic.profiles` — deterministic workload shapes (steady,
   bursty, diurnal, hostile flood) on the simulation clock;
 * :mod:`repro.traffic.dba` — the GPON dynamic-bandwidth-allocation grant
@@ -24,7 +26,8 @@ measurable rather than asserted.
   shard pool, with fleet-normalized abuse detection (E19/E20).
 """
 
-from repro.traffic.dba import CompletedRequest, DbaScheduler, TCont
+from repro.traffic.batch import Completions, Request, RequestBatch
+from repro.traffic.dba import DbaScheduler, TCont
 from repro.traffic.downstream import DownstreamQueue, DownstreamScheduler
 from repro.traffic.fleet import (
     FleetReport, ParallelFleetDriver, fleet_tenant_specs, run_fleet_parallel,
@@ -34,15 +37,15 @@ from repro.traffic.loadgen import (
     run_genio_traffic, run_traffic_experiment, standard_tenant_specs,
 )
 from repro.traffic.profiles import (
-    BurstyProfile, DiurnalProfile, HostileFloodProfile, Request,
-    SteadyProfile, WorkloadProfile, make_profile,
+    BurstyProfile, DiurnalProfile, HostileFloodProfile, SteadyProfile,
+    WorkloadProfile, make_profile,
 )
 from repro.traffic.qos import QosEnforcer, TenantPolicy, TokenBucket
 from repro.traffic.telemetry import TrafficTelemetry
 
 __all__ = [
     "BurstyProfile",
-    "CompletedRequest",
+    "Completions",
     "DbaScheduler",
     "DiurnalProfile",
     "DownstreamQueue",
@@ -53,6 +56,7 @@ __all__ = [
     "ParallelFleetDriver",
     "QosEnforcer",
     "Request",
+    "RequestBatch",
     "SteadyProfile",
     "TCont",
     "TenantPolicy",

@@ -8,7 +8,8 @@ module models that grant loop in bytes-per-cycle terms:
 
 * :class:`TCont` — one upstream queue with a priority (0 = fixed ... 3 =
   best-effort, mirroring T-CONT types 1-4), a weight for fair sharing
-  within its priority tier, and FIFO request backlog;
+  within its priority tier, and a FIFO backlog of request batches
+  (:class:`~repro.traffic.batch.ChunkQueue`);
 * :class:`DbaScheduler` — the OLT-side allocator. The default ``fair``
   policy is strict priority across tiers with weighted progressive
   filling inside a tier, plus a small guaranteed quantum for every
@@ -28,28 +29,14 @@ Invariants (property-tested in ``tests/test_traffic.py``):
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.events import EventBus
-from repro.traffic.profiles import Request
+from repro.traffic.batch import ChunkQueue, Completions, RequestBatch
 
-__all__ = ["TCont", "CompletedRequest", "DbaScheduler"]
+__all__ = ["TCont", "DbaScheduler"]
 
 POLICIES = ("fair", "proportional")
-
-
-@dataclass(frozen=True)
-class CompletedRequest:
-    """One request fully carried upstream, with its queueing latency."""
-
-    request: Request
-    completed_at: float
-
-    @property
-    def latency_s(self) -> float:
-        return self.completed_at - self.request.issued_at
 
 
 class TCont:
@@ -66,9 +53,7 @@ class TCont:
         self.tenant = tenant
         self.priority = priority
         self.weight = float(weight)
-        self.queue: Deque[Request] = deque()
-        self.queued_bytes = 0
-        self._head_sent = 0          # bytes of the head request already granted
+        self.queue = ChunkQueue()
         self.offered_bytes = 0
         self.granted_bytes = 0
 
@@ -77,13 +62,16 @@ class TCont:
         """The G.984.3 T-CONT type this priority maps to (1..4)."""
         return self.priority + 1
 
-    def offer(self, request: Request) -> None:
-        """Enqueue one upstream request."""
-        self.queue.append(request)
-        self.queued_bytes += request.size_bytes
-        self.offered_bytes += request.size_bytes
+    @property
+    def queued_bytes(self) -> int:
+        return self.queue.queued_bytes
 
-    def drain(self, granted: int, now: float) -> Tuple[int, List[CompletedRequest]]:
+    def offer(self, batch: RequestBatch) -> None:
+        """Enqueue one batch of upstream requests."""
+        self.queue.push(batch)
+        self.offered_bytes += batch.nbytes
+
+    def drain(self, granted: int, now: float) -> Tuple[int, Completions]:
         """Transmit up to ``granted`` bytes; returns (sent, completions).
 
         Requests complete only when their last byte is carried; a grant
@@ -92,23 +80,9 @@ class TCont:
         """
         if granted < 0:
             raise ValueError("grant must be non-negative")
-        sent = 0
-        completed: List[CompletedRequest] = []
-        while granted > 0 and self.queue:
-            head = self.queue[0]
-            pending = head.size_bytes - self._head_sent
-            take = min(pending, granted)
-            sent += take
-            granted -= take
-            self.queued_bytes -= take
-            if take == pending:
-                self.queue.popleft()
-                self._head_sent = 0
-                completed.append(CompletedRequest(request=head, completed_at=now))
-            else:
-                self._head_sent += take
+        sent, runs, completed = self.queue.drain(granted)
         self.granted_bytes += sent
-        return sent, completed
+        return sent, Completions(now, runs, completed)
 
 
 class DbaScheduler:

@@ -9,9 +9,10 @@ so this module gives the OLT the same scheduling discipline in the
 downstream direction:
 
 * :class:`DownstreamQueue` — a bounded per-(tenant, priority) FIFO at
-  the OLT. Unlike upstream T-CONTs (whose backlog lives at the ONU and
-  is policed by grants), downstream backlog occupies OLT buffer memory,
-  so the queue enforces a byte limit and tail-drops with accounting.
+  the OLT, holding request batches in the same chunk FIFO as a T-CONT.
+  Unlike upstream T-CONTs (whose backlog lives at the ONU and is
+  policed by grants), downstream backlog occupies OLT buffer memory, so
+  the queue enforces a byte limit and tail-drops with accounting.
 * :class:`DownstreamScheduler` — strict priority across classes plus
   weighted-fair filling within a class, computed by the *same*
   :class:`~repro.traffic.dba.DbaScheduler` allocator the upstream path
@@ -29,16 +30,17 @@ never advances time itself.
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.events import EventBus
-from repro.traffic.dba import CompletedRequest, DbaScheduler, TCont
-from repro.traffic.profiles import Request
+from repro.traffic.batch import Completions, RequestBatch
+from repro.traffic.dba import DbaScheduler, TCont
 
 __all__ = ["DownstreamQueue", "DownstreamScheduler", "DrainResult"]
 
 # sent bytes + the requests completed by them, for one queue, one cycle.
-DrainResult = Tuple[int, List[CompletedRequest]]
+DrainResult = Tuple[int, Completions]
 
 
 class DownstreamQueue(TCont):
@@ -61,14 +63,39 @@ class DownstreamQueue(TCont):
         self.dropped_requests = 0
         self.dropped_bytes = 0
 
-    def offer(self, request: Request) -> bool:
-        """Enqueue one response; tail-drops (with accounting) when full."""
-        if self.queued_bytes + request.size_bytes > self.limit_bytes:
-            self.dropped_requests += 1
-            self.dropped_bytes += request.size_bytes
-            return False
-        super().offer(request)
-        return True
+    def offer(self, batch: RequestBatch) -> int:
+        """Enqueue one batch of responses; returns how many were accepted.
+
+        Each request, in order, is tail-dropped (with accounting) if it
+        would overflow the buffer at that point.
+        """
+        room = self.limit_bytes - self.queue.queued_bytes
+        if batch.nbytes <= room:
+            super().offer(batch)
+            return len(batch)
+        sizes = batch.sizes
+        smallest = min(sizes)
+        accepted = array("q")
+        dropped = dropped_bytes = 0
+        for index, size in enumerate(sizes):
+            if size <= room:
+                accepted.append(size)
+                room -= size
+                continue
+            dropped += 1
+            dropped_bytes += size
+            if room < smallest:
+                # Nothing later fits either: tail-drop the rest at once.
+                tail = sizes[index + 1:]
+                dropped += len(tail)
+                dropped_bytes += sum(tail)
+                break
+        self.dropped_requests += dropped
+        self.dropped_bytes += dropped_bytes
+        if accepted:
+            super().offer(RequestBatch(batch.tenant, batch.issued_at,
+                                       accepted))
+        return len(accepted)
 
 
 class DownstreamScheduler:
@@ -139,9 +166,10 @@ class DownstreamScheduler:
 
     # -- the cycle --------------------------------------------------------------
 
-    def enqueue(self, request: Request) -> bool:
-        """Buffer one downstream response; False if tail-dropped."""
-        return self.queue(request.tenant).offer(request)
+    def enqueue(self, batch: RequestBatch) -> int:
+        """Buffer one tenant's downstream responses; returns how many
+        were accepted (the rest were tail-dropped)."""
+        return self.queue(batch.tenant).offer(batch)
 
     def run_cycle(self, capacity_bytes: int,
                   now: float = 0.0) -> Dict[str, DrainResult]:

@@ -3,7 +3,7 @@
 Ties the subsystem together, one DBA cycle at a time:
 
 1. every tenant's :mod:`profile <repro.traffic.profiles>` generates its
-   batch of upstream requests for the cycle;
+   upstream requests for the cycle as one columnar batch;
 2. the :mod:`QoS enforcer <repro.traffic.qos>` polices them against the
    tenant's subscribed rate (token bucket + bounded queue + drops);
 3. admitted requests enter the tenant's T-CONT, and the OLT's
@@ -23,14 +23,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from itertools import chain, repeat
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.sim import PeriodicTask, Scheduler
 from repro.pon.network import PonNetwork
 from repro.pon.onu import Onu
 from repro.traffic.dba import DbaScheduler, TCont
 from repro.traffic.downstream import DownstreamScheduler
-from repro.traffic.profiles import Request, WorkloadProfile, make_profile
+from repro.traffic.batch import RequestBatch
+from repro.traffic.profiles import WorkloadProfile, make_profile
 from repro.traffic.qos import QosEnforcer
 from repro.traffic.telemetry import TrafficTelemetry
 
@@ -270,7 +272,9 @@ class LoadGenerator:
         self._delivered: Dict[str, int] = {}
         self._offered_down: Dict[str, int] = {}
         self._delivered_down: Dict[str, int] = {}
-        self._latencies: Dict[str, List[float]] = {}
+        # Per tenant: queueing latency -> number of requests completed
+        # with it.
+        self._latencies: Dict[str, Dict[float, int]] = {}
 
     @property
     def n_cycles(self) -> int:
@@ -309,8 +313,7 @@ class LoadGenerator:
         if self.downstream_enabled:
             self._offered_down = {s.tenant: 0 for s in self.specs}
             self._delivered_down = {s.tenant: 0 for s in self.specs}
-        self._latencies: Dict[str, List[float]] = {
-            s.tenant: [] for s in self.specs}
+        self._latencies = {s.tenant: {} for s in self.specs}
         self._task = self.sim.every(
             self.cycle_s, self._cycle,
             name=f"{self.network.olt.name}/traffic-cycle",
@@ -321,20 +324,19 @@ class LoadGenerator:
         """One DBA cycle: generate, police, grant, drain, account."""
         now = self._clock.now
         cycle_offered: Dict[str, int] = {}
-        arrivals: List[Request] = []
+        arrivals: List[RequestBatch] = []
         for spec in self.specs:
             batch = self._profiles[spec.tenant].batch(now, self.cycle_s)
-            nbytes = sum(r.size_bytes for r in batch)
-            cycle_offered[spec.tenant] = nbytes
-            self._offered[spec.tenant] += nbytes
-            arrivals.extend(batch)
+            cycle_offered[spec.tenant] = batch.nbytes
+            self._offered[spec.tenant] += batch.nbytes
+            arrivals.append(batch)
 
         if self.qos is not None:
             admitted = self.qos.admit(arrivals, now)
         else:
             admitted = arrivals
-        for request in admitted:
-            self._tconts[request.tenant].offer(request)
+        for batch in admitted:
+            self._tconts[batch.tenant].offer(batch)
 
         grants = self.network.olt.run_dba_cycle(self.cycle_s)
         cycle_end = now + self.cycle_s
@@ -348,8 +350,10 @@ class LoadGenerator:
                 self._delivered[spec.tenant] += sent
                 self.network.send_upstream(spec.serial, b"",
                                            size_override=sent)
-            self._latencies[spec.tenant].extend(
-                c.latency_s for c in completed)
+            if completed:
+                store = self._latencies[spec.tenant]
+                for latency, count in completed.latencies():
+                    store[latency] = store.get(latency, 0) + count
 
         self.telemetry.record_cycle(cycle_offered, cycle_delivered)
         if self.downstream_enabled:
@@ -362,18 +366,17 @@ class LoadGenerator:
         fleet shard's event stream (both directions) stays a pure
         function of its config — the worker-invariance guarantee.
         """
-        arrivals: List[Request] = []
+        arrivals: List[RequestBatch] = []
         for spec in self.specs:
             batch = self._profiles_down[spec.tenant].batch(now, self.cycle_s)
-            self._offered_down[spec.tenant] += sum(
-                r.size_bytes for r in batch)
-            arrivals.extend(batch)
+            self._offered_down[spec.tenant] += batch.nbytes
+            arrivals.append(batch)
         if self.qos_down is not None:
             admitted = self.qos_down.admit(arrivals, now)
         else:
             admitted = arrivals
-        for request in admitted:
-            self.downstream_scheduler.enqueue(request)
+        for batch in admitted:
+            self.downstream_scheduler.enqueue(batch)
 
         results = self.network.olt.run_downstream_cycle(self.cycle_s)
         cycle_delivered: Dict[str, int] = {}
@@ -405,7 +408,8 @@ class LoadGenerator:
             downstream_capacity_bps=(self.network.olt.downstream_bps
                                      if self.downstream_enabled else 0.0))
         for spec in self.specs:
-            tenant_latencies = sorted(latencies[spec.tenant])
+            completed, mean_latency, p95_latency = _latency_stats(
+                latencies[spec.tenant])
             dropped = (self.qos.policy(spec.tenant).dropped_requests
                        if self.qos is not None else 0)
             dropped_down = 0
@@ -428,10 +432,9 @@ class LoadGenerator:
                                 else offered[spec.tenant]),
                 delivered_bytes=delivered[spec.tenant],
                 dropped_requests=dropped,
-                completed_requests=len(tenant_latencies),
-                mean_latency_s=(sum(tenant_latencies) / len(tenant_latencies)
-                                if tenant_latencies else 0.0),
-                p95_latency_s=_percentile(tenant_latencies, 0.95),
+                completed_requests=completed,
+                mean_latency_s=mean_latency,
+                p95_latency_s=p95_latency,
                 throughput_bps=delivered[spec.tenant] * 8 / duration,
                 bandwidth_share=(delivered[spec.tenant] / total_delivered
                                  if total_delivered else 0.0),
@@ -453,12 +456,26 @@ class LoadGenerator:
         return self.report()
 
 
-def _percentile(sorted_values: Sequence[float], q: float) -> float:
-    if not sorted_values:
-        return 0.0
-    index = min(len(sorted_values) - 1,
-                max(0, math.ceil(q * len(sorted_values)) - 1))
-    return sorted_values[index]
+def _latency_stats(counts: Dict[float, int]) -> Tuple[int, float, float]:
+    """``(count, mean, p95)`` of the latencies counted in ``counts``.
+
+    The mean is summed over the expanded ascending sequence, exactly as a
+    sum over the sorted per-request latencies would be: float addition
+    is order-sensitive, and Python 3.12's ``sum`` compensates, so no
+    ``latency * count`` shortcut is taken.
+    """
+    runs = sorted(counts.items())
+    total = sum(count for _, count in runs)
+    if not total:
+        return 0, 0.0, 0.0
+    mean = sum(chain.from_iterable(repeat(latency, count)
+                                   for latency, count in runs)) / total
+    index = min(total - 1, max(0, math.ceil(0.95 * total) - 1))
+    for latency, count in runs:
+        if index < count:
+            break
+        index -= count
+    return total, mean, latency
 
 
 def standard_tenant_specs(n_tenants: int, hostile: bool = True,

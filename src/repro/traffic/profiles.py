@@ -2,7 +2,8 @@
 
 The traffic plane starts here: each tenant's workload is a
 :class:`WorkloadProfile` that, asked for one scheduler cycle at a time,
-emits a batch of upstream :class:`Request` objects. Profiles are driven
+emits its upstream requests as one columnar
+:class:`~repro.traffic.batch.RequestBatch`. Profiles are driven
 entirely by the simulation clock and a seeded RNG (string seeding, which
 CPython hashes with SHA-512 — stable across processes), so every
 experiment replays byte-for-byte.
@@ -23,11 +24,14 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Type
+from array import array
+from typing import Dict, Type
+
+from repro.traffic.batch import Request, RequestBatch
 
 __all__ = [
     "Request",
+    "RequestBatch",
     "WorkloadProfile",
     "SteadyProfile",
     "BurstyProfile",
@@ -38,25 +42,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Request:
-    """One upstream transfer request a tenant wants carried over the PON."""
-
-    tenant: str
-    size_bytes: int
-    issued_at: float
-
-    def __post_init__(self) -> None:
-        if self.size_bytes <= 0:
-            raise ValueError("request size must be positive")
-
-
 class WorkloadProfile:
     """Base profile: a subscribed rate plus a deterministic request stream.
 
     ``rate_bps`` is the tenant's *nominal* (subscribed) rate; subclasses
     shape the actually-offered load around it. ``batch`` returns the
-    requests issued during ``[now, now + interval_s)``.
+    requests issued during ``[now, now + interval_s)`` as one batch.
     """
 
     kind = "steady"
@@ -81,20 +72,23 @@ class WorkloadProfile:
 
     # -- batch generation -------------------------------------------------------
 
-    def batch(self, now: float, interval_s: float) -> List[Request]:
+    def batch(self, now: float, interval_s: float) -> RequestBatch:
         """Requests issued during one cycle, in deterministic order."""
         if interval_s <= 0:
             raise ValueError("interval must be positive")
         target = self.offered_bps(now) / 8.0 * interval_s + self._carry_bytes
-        requests: List[Request] = []
-        while target >= self.request_bytes:
-            jitter = 1.0 + (self._rng.random() - 0.5) * 0.2
-            size = max(64, int(self.request_bytes * jitter))
-            requests.append(Request(tenant=self.tenant, size_bytes=size,
-                                    issued_at=now))
+        request_bytes = self.request_bytes
+        rand = self._rng.random
+        sizes = array("q")
+        append = sizes.append
+        while target >= request_bytes:
+            size = int(request_bytes * (1.0 + (rand() - 0.5) * 0.2))
+            if size < 64:
+                size = 64
+            append(size)
             target -= size
         self._carry_bytes = max(0.0, target)
-        return requests
+        return RequestBatch(self.tenant, now, sizes)
 
 
 class SteadyProfile(WorkloadProfile):

@@ -30,13 +30,13 @@ share math built on the counters.)
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common import telemetry
 from repro.common.events import EventBus
-from repro.traffic.profiles import Request
+from repro.traffic.batch import ChunkQueue, Request, RequestBatch
 
 __all__ = ["TokenBucket", "TenantPolicy", "QosEnforcer"]
 
@@ -94,14 +94,17 @@ class TenantPolicy:
     tenant: str
     bucket: TokenBucket
     queue_limit_bytes: int
-    queue: Deque[Request]
-    queued_bytes: int = 0
+    queue: ChunkQueue
     backpressured: bool = False
     admitted_bytes: int = 0
     dropped_bytes: int = 0
     dropped_requests: int = 0
     _cycle_drops: int = 0
     _cycle_drop_bytes: int = 0
+
+    @property
+    def queued_bytes(self) -> int:
+        return self.queue.queued_bytes
 
 
 class QosEnforcer:
@@ -121,6 +124,7 @@ class QosEnforcer:
         self._policies: Dict[str, TenantPolicy] = {}
         metrics = registry if registry is not None else telemetry.active_registry()
         self._metrics = metrics
+        self._children: Dict[Tuple[str, str], Tuple[object, object]] = {}
         if metrics is not None:
             self._requests_counter = metrics.counter(
                 "traffic_requests_total",
@@ -154,7 +158,7 @@ class QosEnforcer:
         policy = TenantPolicy(tenant=tenant,
                               bucket=TokenBucket(rate_bps, burst),
                               queue_limit_bytes=queue_limit,
-                              queue=deque())
+                              queue=ChunkQueue())
         self._policies[tenant] = policy
         return policy
 
@@ -169,152 +173,147 @@ class QosEnforcer:
     def submit(self, request: Request, now: float) -> str:
         """Police one request; returns 'admitted', 'queued' or 'dropped'."""
         policy = self.policy(request.tenant)
-        if not policy.queue and policy.bucket.allow(request.size_bytes, now):
-            self._account(policy, request, "admitted")
+        size = request.size_bytes
+        if not policy.queue and policy.bucket.allow(size, now):
+            policy.admitted_bytes += size
+            self._count(policy, "admitted", 1, size)
             return "admitted"
-        if policy.queued_bytes + request.size_bytes <= policy.queue_limit_bytes:
-            policy.queue.append(request)
-            policy.queued_bytes += request.size_bytes
-            self._account(policy, request, "queued")
+        if policy.queue.queued_bytes + size <= policy.queue_limit_bytes:
+            policy.queue.push(RequestBatch(request.tenant, request.issued_at,
+                                           (size,)))
+            self._count(policy, "queued", 1, size)
             self._check_backpressure(policy, now)
             return "queued"
-        policy.dropped_requests += 1
-        policy.dropped_bytes += request.size_bytes
-        policy._cycle_drops += 1
-        policy._cycle_drop_bytes += request.size_bytes
-        self._account(policy, request, "dropped")
+        self._drop(policy, 1, size)
+        self._count(policy, "dropped", 1, size)
         return "dropped"
 
-    def admit(self, requests: List[Request], now: float) -> List[Request]:
-        """Police a batch: drain queued backlog first, then new arrivals.
+    def admit(self, batches: Sequence[RequestBatch],
+              now: float) -> List[RequestBatch]:
+        """Police one cycle: release queued backlog first, then arrivals.
 
-        Returns every request admitted this cycle, queue-first (FIFO
-        within a tenant is preserved; across tenants the arrival order of
-        the input is preserved).
+        Returns everything admitted this cycle as batches: every tenant's
+        released queue chunks (FIFO), then the admitted part of each
+        arrival batch, in the order given. Per tenant that is exactly
+        the order :meth:`submit` would admit the same requests in.
 
-        This is the vectorized admission path: arrivals are grouped per
-        tenant, each tenant's bucket is refilled once and charged one
-        aggregate token spend for the cycle, and telemetry is batched
-        into one counter ``inc`` per ``(tenant, outcome)`` instead of one
-        per request. Per-request decisions replicate :meth:`submit`'s
-        arithmetic exactly — a property test pins this path against the
-        per-request oracle (:meth:`submit` per request) in
+        Each batch is decided on local variables: one bucket refill up
+        front, one token writeback and one counter ``inc`` per
+        ``(tenant, outcome)`` at the end. Token spends stay sequential,
+        one request at a time, because float spends do not commute. A
+        property test pins this path against the per-request oracle in
         ``tests/oracles.py``.
         """
-        admitted: List[Request] = []
-        for policy in self._policies.values():
-            admitted.extend(self._drain_queue(policy, now))
-        if requests:
-            groups: Dict[str, List[Request]] = {}
-            for request in requests:
-                group = groups.get(request.tenant)
-                if group is None:
-                    groups[request.tenant] = [request]
-                else:
-                    group.append(request)
-            outcomes = {
-                tenant: self._admit_tenant_batch(self.policy(tenant),
-                                                 group, now)
-                for tenant, group in groups.items()}
-            cursors = dict.fromkeys(groups, 0)
-            for request in requests:
-                index = cursors[request.tenant]
-                cursors[request.tenant] = index + 1
-                if outcomes[request.tenant][index]:
-                    admitted.append(request)
+        admitted: List[RequestBatch] = []
+        policies = self._policies
+        for policy in policies.values():
+            if policy.queue.queued_bytes:
+                admitted.extend(self._release(policy, now))
+        for batch in batches:
+            if batch.sizes:
+                policy = policies.get(batch.tenant) \
+                    or self.policy(batch.tenant)
+                part = self._admit_batch(policy, batch, now)
+                if part is not None:
+                    admitted.append(part)
         self.cycle_end(now)
         return admitted
 
-    def _admit_tenant_batch(self, policy: TenantPolicy,
-                            group: List[Request], now: float) -> List[bool]:
-        """Decide one tenant's cycle batch; returns admitted flags in order.
+    def _admit_batch(self, policy: TenantPolicy, batch: RequestBatch,
+                     now: float) -> Optional[RequestBatch]:
+        """Decide one tenant's arrivals; returns the admitted part.
 
-        One bucket refill up front, one aggregate token writeback at the
-        end; the decision loop runs on local variables. The queue/drop
-        boundary stays per-request (live queue state decides), so
-        outcomes — including the per-request backpressure checks on the
-        queued path — are unchanged from :meth:`submit`.
+        Requests are admitted while the queue is empty and tokens last.
+        The rest go request by request, with the outcome :meth:`submit`
+        would give each: live queue room decides between queue and drop,
+        and the queued requests enter the queue as one chunk.
         """
+        sizes = batch.sizes
         bucket = policy.bucket
         bucket._refill(now)
         tokens = bucket._tokens
         queue = policy.queue
-        queue_limit = policy.queue_limit_bytes
-        flags: List[bool] = []
-        admitted_n = admitted_bytes = 0
-        queued_n = queued_bytes = 0
-        dropped_n = dropped_bytes = 0
-        for request in group:
-            size = request.size_bytes
-            if not queue and size <= tokens:
-                # Sequential subtraction on a local mirrors submit()'s
-                # float arithmetic exactly (token spends do not commute
-                # in float, so no sum-then-subtract shortcut).
+        taken = 0
+        if not queue.queued_bytes:
+            for size in sizes:
+                if size > tokens:
+                    break
                 tokens -= size
-                admitted_n += 1
-                admitted_bytes += size
-                flags.append(True)
-                continue
-            flags.append(False)
-            if policy.queued_bytes + size <= queue_limit:
-                queue.append(request)
-                policy.queued_bytes += size
+                taken += 1
+        if taken == len(sizes):
+            bucket._tokens = tokens
+            policy.admitted_bytes += batch.nbytes
+            self._count(policy, "admitted", taken, batch.nbytes)
+            return batch
+        admitted = sizes[:taken]
+        rest = sizes[taken:] if taken else sizes
+        smallest = min(rest)
+        limit = policy.queue_limit_bytes
+        room = limit - queue.queued_bytes
+        queue_empty = not queue.queued_bytes
+        queued = array("q")
+        queued_n = queued_bytes = dropped_n = dropped_bytes = 0
+        for index, size in enumerate(rest):
+            if queue_empty and size <= tokens:
+                tokens -= size
+                admitted.append(size)
+            elif size <= room:
+                queued.append(size)
                 queued_n += 1
                 queued_bytes += size
-                self._check_backpressure(policy, now)
+                room -= size
+                queue_empty = False
+                # Queueing only raises the fill, so asserting is the one
+                # transition it can cause: enqueue up to this request and
+                # let the watermark check see the queue as it is now.
+                if not policy.backpressured \
+                        and (limit - room) / limit >= self.HIGH_WATERMARK:
+                    queue.push(RequestBatch(policy.tenant, batch.issued_at,
+                                            queued))
+                    queued = array("q")
+                    self._check_backpressure(policy, now)
             else:
-                policy.dropped_requests += 1
-                policy.dropped_bytes += size
-                policy._cycle_drops += 1
-                policy._cycle_drop_bytes += size
                 dropped_n += 1
                 dropped_bytes += size
+                if not queue_empty and room < smallest:
+                    # Nothing later fits the queue, and nothing is
+                    # admitted past a non-empty queue: drop the rest.
+                    tail = rest[index + 1:]
+                    dropped_n += len(tail)
+                    dropped_bytes += sum(tail)
+                    break
+        if queued:
+            queue.push(RequestBatch(policy.tenant, batch.issued_at, queued))
         bucket._tokens = tokens
+        admitted_bytes = sum(admitted)
         policy.admitted_bytes += admitted_bytes
-        if self._metrics is not None:
-            for outcome, count, nbytes in (
-                    ("admitted", admitted_n, admitted_bytes),
-                    ("dropped", dropped_n, dropped_bytes)):
-                if count:
-                    self._requests_counter.inc(
-                        count, tenant=policy.tenant,
-                        direction=self.direction, outcome=outcome)
-                    self._bytes_counter.inc(
-                        nbytes, tenant=policy.tenant,
-                        direction=self.direction, outcome=outcome)
-            if queued_n:
-                self._queued_counter.inc(queued_n, tenant=policy.tenant,
-                                         direction=self.direction)
-                self._queued_bytes_counter.inc(
-                    queued_bytes, tenant=policy.tenant,
-                    direction=self.direction)
-        return flags
+        if admitted:
+            self._count(policy, "admitted", len(admitted), admitted_bytes)
+        if dropped_n:
+            self._drop(policy, dropped_n, dropped_bytes)
+            self._count(policy, "dropped", dropped_n, dropped_bytes)
+        if queued_n:
+            self._count(policy, "queued", queued_n, queued_bytes)
+        if not admitted:
+            return None
+        return RequestBatch(policy.tenant, batch.issued_at, admitted)
 
-    def _drain_queue(self, policy: TenantPolicy, now: float) -> List[Request]:
-        released: List[Request] = []
-        released_bytes = 0
-        while policy.queue:
-            head = policy.queue[0]
-            if not policy.bucket.allow(head.size_bytes, now):
-                break
-            policy.queue.popleft()
-            policy.queued_bytes -= head.size_bytes
-            released_bytes += head.size_bytes
-            released.append(head)
+    def _release(self, policy: TenantPolicy, now: float) -> List[RequestBatch]:
+        """Release queued requests, FIFO, while the bucket's tokens last."""
+        bucket = policy.bucket
+        bucket._refill(now)
+        released, bucket._tokens = policy.queue.release(bucket._tokens)
         # The watermark can only have moved if something left the queue;
         # skip the no-op check (and its fill arithmetic) otherwise.
         # Releases are a distinct terminal outcome (the request was
-        # already counted "queued" once) and their telemetry is batched:
-        # one inc per tenant per drain, like _admit_tenant_batch.
+        # already counted "queued" once).
         if released:
+            count = released_bytes = 0
+            for part in released:
+                count += len(part.sizes)
+                released_bytes += part.nbytes
             policy.admitted_bytes += released_bytes
-            if self._metrics is not None:
-                self._requests_counter.inc(
-                    len(released), tenant=policy.tenant,
-                    direction=self.direction, outcome="released")
-                self._bytes_counter.inc(
-                    released_bytes, tenant=policy.tenant,
-                    direction=self.direction, outcome="released")
+            self._count(policy, "released", count, released_bytes)
             self._check_backpressure(policy, now)
         return released
 
@@ -344,27 +343,41 @@ class QosEnforcer:
 
     # -- internals --------------------------------------------------------------
 
-    def _account(self, policy: TenantPolicy, request: Request,
-                 outcome: str) -> None:
-        if outcome == "admitted":
-            policy.admitted_bytes += request.size_bytes
-        if self._metrics is None:
+    @staticmethod
+    def _drop(policy: TenantPolicy, count: int, nbytes: int) -> None:
+        policy.dropped_requests += count
+        policy.dropped_bytes += nbytes
+        policy._cycle_drops += count
+        policy._cycle_drop_bytes += nbytes
+
+    def _count(self, policy: TenantPolicy, outcome: str, count: int,
+               nbytes: int) -> None:
+        """Count ``count`` requests of ``nbytes`` under one outcome.
+
+        admitted/released/dropped are terminal and land in
+        ``traffic_{requests,bytes}_total``. ``queued`` is transient — a
+        queued request terminates later as released, or sits in the
+        queue — so it lands in ``traffic_queued_*`` instead, or the
+        terminal sum would exceed the offered count. The counter
+        children of each ``(tenant, outcome)`` are looked up once.
+        """
+        if not count or self._metrics is None:
             return
-        if outcome == "queued":
-            # Transient, not terminal — a queued request terminates later
-            # as released (or sits in the queue), so it must not land in
-            # traffic_requests_total or the outcome sum would exceed the
-            # offered count.
-            self._queued_counter.inc(tenant=policy.tenant,
-                                     direction=self.direction)
-            self._queued_bytes_counter.inc(request.size_bytes,
-                                           tenant=policy.tenant,
-                                           direction=self.direction)
-            return
-        self._requests_counter.inc(tenant=policy.tenant,
-                                   direction=self.direction, outcome=outcome)
-        self._bytes_counter.inc(request.size_bytes, tenant=policy.tenant,
-                                direction=self.direction, outcome=outcome)
+        key = (policy.tenant, outcome)
+        children = self._children.get(key)
+        if children is None:
+            if outcome == "queued":
+                families = (self._queued_counter, self._queued_bytes_counter)
+                labels = {}
+            else:
+                families = (self._requests_counter, self._bytes_counter)
+                labels = {"outcome": outcome}
+            children = self._children[key] = tuple(
+                family.labels(tenant=policy.tenant,
+                              direction=self.direction, **labels)
+                for family in families)
+        children[0].inc(count)
+        children[1].inc(nbytes)
 
     def _check_backpressure(self, policy: TenantPolicy, now: float) -> None:
         fill = (policy.queued_bytes / policy.queue_limit_bytes

@@ -14,7 +14,7 @@ from repro.common.events import EventBus
 from repro.pon.network import PonNetwork
 from repro.pon.onu import Onu
 from repro.traffic import (
-    DownstreamQueue, DownstreamScheduler, QosEnforcer, Request,
+    DownstreamQueue, DownstreamScheduler, QosEnforcer, Request, RequestBatch,
     run_traffic_experiment,
 )
 from repro.traffic.telemetry import (
@@ -40,15 +40,25 @@ def _fresh_defaults():
 class TestDownstreamQueue:
     def test_tail_drop_when_full_with_accounting(self):
         queue = DownstreamQueue(1, "ONU1", "t", limit_bytes=1000)
-        assert queue.offer(Request("t", 600, 0.0))
-        assert queue.offer(Request("t", 400, 0.0))      # exactly at limit
-        assert not queue.offer(Request("t", 1, 0.0))    # over: tail drop
+        assert queue.offer(RequestBatch("t", 0.0, [600])) == 1
+        assert queue.offer(RequestBatch("t", 0.0, [400])) == 1  # at limit
+        assert queue.offer(RequestBatch("t", 0.0, [1])) == 0    # tail drop
         assert queue.queued_bytes == 1000
         assert queue.dropped_requests == 1
         assert queue.dropped_bytes == 1
-        assert not queue.offer(Request("t", 500, 0.0))
+        assert queue.offer(RequestBatch("t", 0.0, [500])) == 0
         assert queue.dropped_requests == 2
         assert queue.dropped_bytes == 501
+
+    def test_batch_tail_drops_request_by_request(self):
+        queue = DownstreamQueue(1, "t", "t", limit_bytes=1000)
+        # 700 fits, 400 would overflow, 300 still fits behind it.
+        assert queue.offer(RequestBatch("t", 0.5, [700, 400, 300])) == 2
+        assert queue.queued_bytes == 1000
+        assert queue.dropped_requests == 1
+        assert queue.dropped_bytes == 400
+        assert [(r.size_bytes, r.issued_at) for r in queue.queue] \
+            == [(700, 0.5), (300, 0.5)]
 
     def test_limit_must_be_positive(self):
         with pytest.raises(ValueError, match="limit_bytes"):
@@ -56,10 +66,10 @@ class TestDownstreamQueue:
 
     def test_drain_frees_room_for_new_offers(self):
         queue = DownstreamQueue(1, "ONU1", "t", limit_bytes=1000)
-        queue.offer(Request("t", 1000, 0.0))
+        queue.offer(RequestBatch("t", 0.0, [1000]))
         sent, completed = queue.drain(1000, now=0.1)
         assert sent == 1000 and len(completed) == 1
-        assert queue.offer(Request("t", 1000, 0.1))
+        assert queue.offer(RequestBatch("t", 0.1, [1000])) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +83,7 @@ def _loaded(setup, bus=None):
         scheduler.register_queue(f"ONU{index}", f"tenant-{index}",
                                  priority=priority, weight=weight)
         if backlog:
-            scheduler.enqueue(Request(f"tenant-{index}", backlog, 0.0))
+            scheduler.enqueue(RequestBatch(f"tenant-{index}", 0.0, [backlog]))
     return scheduler
 
 
@@ -87,7 +97,7 @@ class TestDownstreamScheduler:
     def test_unknown_tenant_enqueue_raises(self):
         scheduler = DownstreamScheduler()
         with pytest.raises(KeyError, match="no downstream queue"):
-            scheduler.enqueue(Request("ghost", 100, 0.0))
+            scheduler.enqueue(RequestBatch("ghost", 0.0, [100]))
 
     def test_queue_limit_validation(self):
         with pytest.raises(ValueError, match="queue_limit_bytes"):
@@ -97,8 +107,8 @@ class TestDownstreamScheduler:
         scheduler = DownstreamScheduler(guaranteed_share=0.1)
         scheduler.register_queue("ONU1", "t-high", priority=0)
         scheduler.register_queue("ONU2", "t-low", priority=3)
-        scheduler.enqueue(Request("t-high", 100_000, 0.0))
-        scheduler.enqueue(Request("t-low", 100_000, 0.0))
+        scheduler.enqueue(RequestBatch("t-high", 0.0, [100_000]))
+        scheduler.enqueue(RequestBatch("t-low", 0.0, [100_000]))
         results = scheduler.run_cycle(100_000)
         assert results["t-high"][0] > 0.85 * 100_000
         assert results["t-low"][0] > 0          # anti-starvation quantum
@@ -107,8 +117,8 @@ class TestDownstreamScheduler:
         scheduler = DownstreamScheduler(guaranteed_share=0.0)
         scheduler.register_queue("ONU1", "t-heavy", priority=1, weight=3.0)
         scheduler.register_queue("ONU2", "t-light", priority=1, weight=1.0)
-        scheduler.enqueue(Request("t-heavy", 400_000, 0.0))
-        scheduler.enqueue(Request("t-light", 400_000, 0.0))
+        scheduler.enqueue(RequestBatch("t-heavy", 0.0, [400_000]))
+        scheduler.enqueue(RequestBatch("t-light", 0.0, [400_000]))
         results = scheduler.run_cycle(100_000)
         heavy, light = results["t-heavy"][0], results["t-light"][0]
         assert heavy + light == 100_000
@@ -149,7 +159,7 @@ class TestDownstreamScheduler:
         bus = EventBus()
         scheduler = DownstreamScheduler(bus=bus)
         queue = scheduler.register_queue("ONU1", "t")
-        scheduler.enqueue(Request("t", 5000, 0.0))
+        scheduler.enqueue(RequestBatch("t", 0.0, [5000]))
         scheduler.run_cycle(3000, now=0.02)
         (event,) = bus.history("pon.downstream.grant")
         assert event.get("cycle") == 1
@@ -188,7 +198,7 @@ class TestOltDownstreamCycle:
         network.olt.attach_downstream(scheduler)
         # More backlog than one 2 ms cycle of 2.488 Gbps (622 kB) can
         # carry, while staying inside the 1 MiB queue limit.
-        assert scheduler.enqueue(Request("t", 1_000_000, 0.0))
+        assert scheduler.enqueue(RequestBatch("t", 0.0, [1_000_000]))
         results = network.olt.run_downstream_cycle(0.002)
         expected = int(2.488e9 / 8.0 * 0.002)
         assert results["t"][0] == expected

@@ -216,8 +216,8 @@ class TestDbaBatchingProperties:
     @settings(max_examples=60, deadline=None)
     def test_batched_grants_equal_reference(self, config, capacity,
                                             guaranteed):
+        from repro.traffic.batch import RequestBatch
         from repro.traffic.dba import DbaScheduler
-        from repro.traffic.profiles import Request
         from tests.oracles import dba_grant_fair
 
         def build():
@@ -226,8 +226,7 @@ class TestDbaBatchingProperties:
                 tcont = dba.register_tcont(f"S{i}", f"t-{i}",
                                            priority=priority, weight=weight)
                 if queued:
-                    tcont.offer(Request(tenant=f"t-{i}", size_bytes=queued,
-                                        issued_at=0.0))
+                    tcont.offer(RequestBatch(f"t-{i}", 0.0, [queued]))
             return dba
 
         reference = dba_grant_fair(build(), capacity)

@@ -9,8 +9,9 @@ from repro.platform.workloads import (
 from repro.security.malware import (
     YaraRule, YaraScanner, default_ruleset, make_admission_hook,
 )
+from repro.common.events import EventBus
 from repro.security.monitor import (
-    FalcoEngine, Priority, ResourceAbuseDetector, default_rules,
+    FalcoEngine, FalcoRule, Priority, ResourceAbuseDetector, default_rules,
 )
 from repro.security.sandbox import (
     KubeArmorPolicy, PolicyAction, TenancyConfig, default_tenant_policy,
@@ -209,6 +210,88 @@ class TestFalco:
         runtime, engine = monitored_runtime
         with pytest.raises(ValueError):
             engine.attach(runtime.bus)
+
+
+def _always(name, topic):
+    return FalcoRule(name=name, description="test rule", topics=(topic,),
+                     condition=lambda event: True)
+
+
+class TestFalcoTopicIndex:
+    """Rules are indexed by topic; any change to ``engine.rules`` must
+    re-index, and the counts must equal a scan of every rule."""
+
+    MIXED = [
+        ("runtime.syscall", {"syscall": "execve", "path": "/bin/sh",
+                             "container": "c1"}),
+        ("pon.dba.grant", {"cycle": 1}),
+        ("host.file", {"path": "/usr/bin/ls", "op": "write"}),
+        ("qos.drop", {"tenant": "t", "dropped": 3}),
+        ("runtime.syscall", {"syscall": "connect",
+                             "dst": "pool.evil.example:3333"}),
+        ("host.syscall", {"syscall": "mount", "path": "/sys"}),
+        ("host.login", {"user": "root", "method": "password"}),
+        ("kube.audit", {"verb": "create", "resource": "pods/exec",
+                        "principal": "system:anonymous"}),
+        ("monitor.stats", {"events_processed": 0}),
+        ("pon.downstream.grant", {"cycle": 1}),
+    ]
+
+    def test_rule_appended_after_traffic_on_its_topic_fires(self):
+        bus = EventBus()
+        engine = FalcoEngine()
+        engine.attach(bus)
+        bus.emit("custom.probe", "test", 0.0)
+        assert engine.rule_evaluations == 0
+        engine.rules.append(_always("probe_seen", "custom.probe"))
+        bus.emit("custom.probe", "test", 1.0)
+        assert engine.alerts_by_rule() == {"probe_seen": 1}
+        assert engine.rule_evaluations == 1
+
+    def test_removing_or_replacing_rules_reindexes(self):
+        bus = EventBus()
+        engine = FalcoEngine(rules=[_always("a", "custom.probe")])
+        engine.attach(bus)
+        bus.emit("custom.probe", "test", 0.0)
+        engine.rules.remove(engine.rule("a"))
+        bus.emit("custom.probe", "test", 1.0)
+        engine.rules = [_always("b", "custom")]
+        bus.emit("custom.probe", "test", 2.0)
+        engine.rules[0] = _always("c", "custom.probe")
+        bus.emit("custom.probe", "test", 3.0)
+        assert [alert.rule for alert in engine.alerts] == ["a", "b", "c"]
+
+    def test_counts_equal_an_unindexed_scan(self):
+        bus = EventBus()
+        engine = FalcoEngine()
+        engine.attach(bus)
+        for step in range(3):
+            for index, (topic, payload) in enumerate(self.MIXED):
+                bus.emit(topic, "test", step * 10.0 + index, **payload)
+
+        # The same stream, every rule asked whether it applies.
+        processed = evaluations = 0
+        fired = []
+        for step in range(3):
+            for topic, payload in self.MIXED:
+                if topic.startswith("monitor."):
+                    continue
+                processed += 1
+                event = next(e for e in bus.history(topic)
+                             if e.payload == payload)
+                for rule in default_rules():
+                    if not rule.applies_to(topic):
+                        continue
+                    evaluations += 1
+                    try:
+                        if rule.evaluate(event):
+                            fired.append(rule.name)
+                    except Exception:
+                        pass
+        assert engine.events_processed == processed
+        assert engine.rule_evaluations == evaluations > 0
+        assert [alert.rule for alert in engine.alerts] == fired
+        assert fired
 
 
 class TestResourceAbuseDetection:

@@ -51,6 +51,24 @@ class TestCounter:
         with pytest.raises(ValueError):
             counter.inc()   # missing the tenant label
 
+    @pytest.mark.parametrize("labels, got", [
+        ({"tenant": "t"}, "('tenant',)"),                       # missing
+        ({"tenant": "t", "outcome": "x", "user": "u"},          # extra
+         "('outcome', 'tenant', 'user')"),
+        ({"tenant": "t", "outcom": "x"}, "('outcom', 'tenant')"),  # typo
+    ])
+    def test_label_mismatch_names_expected_and_given(self, labels, got):
+        registry = MetricsRegistry()
+        counter = registry.counter("y_total",
+                                   labelnames=("tenant", "outcome"))
+        message = (f"y_total: expected labels ('tenant', 'outcome'), "
+                   f"got {got}")
+        for record in (counter.inc, counter.labels):
+            with pytest.raises(ValueError) as error:
+                record(**labels)
+            assert str(error.value) == message
+        assert counter.cardinality() == 0
+
     def test_negative_increment_rejected(self):
         registry = MetricsRegistry()
         with pytest.raises(ValueError):

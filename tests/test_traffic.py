@@ -13,12 +13,12 @@ from repro.common import telemetry
 from repro.common.events import EventBus
 from repro.security.monitor import LiveCorrelator, ResourceAbuseDetector
 from repro.traffic import (
-    DbaScheduler, LoadGenerator, QosEnforcer, Request, TenantSpec,
-    TokenBucket, TrafficTelemetry, jain_index, make_profile,
-    run_genio_traffic, run_traffic_experiment,
+    Completions, DbaScheduler, LoadGenerator, QosEnforcer, Request,
+    RequestBatch, TenantSpec, TokenBucket, TrafficTelemetry, jain_index,
+    make_profile, run_genio_traffic, run_traffic_experiment,
 )
 from repro.traffic.telemetry import CPU_SHARE_GAUGE, OFFERED_SHARE_GAUGE
-from tests.oracles import qos_admit
+from tests.oracles import PerRequestQos, per_tenant
 
 
 @pytest.fixture(autouse=True)
@@ -124,8 +124,7 @@ def _loaded_scheduler(setup, policy="fair"):
         tcont = scheduler.register_tcont(f"ONU{index}", f"tenant-{index}",
                                          priority=priority, weight=weight)
         if backlog:
-            tcont.offer(Request(tenant=tcont.tenant, size_bytes=backlog,
-                                issued_at=0.0))
+            tcont.offer(RequestBatch(tcont.tenant, 0.0, [backlog]))
         tconts.append(tcont)
     return scheduler, tconts
 
@@ -172,8 +171,8 @@ class TestDbaBehaviour:
         scheduler = DbaScheduler(guaranteed_share=0.1)
         high = scheduler.register_tcont("ONU1", "t-high", priority=0)
         low = scheduler.register_tcont("ONU2", "t-low", priority=3)
-        high.offer(Request("t-high", 100_000, 0.0))
-        low.offer(Request("t-low", 100_000, 0.0))
+        high.offer(RequestBatch("t-high", 0.0, [100_000]))
+        low.offer(RequestBatch("t-low", 0.0, [100_000]))
         grants = scheduler.grant(100_000)
         assert grants[high.alloc_id] > 0.85 * 100_000
         assert grants[low.alloc_id] > 0            # guaranteed quantum
@@ -182,8 +181,8 @@ class TestDbaBehaviour:
         scheduler = DbaScheduler(guaranteed_share=0.0)
         heavy = scheduler.register_tcont("ONU1", "t-3x", priority=2, weight=3.0)
         light = scheduler.register_tcont("ONU2", "t-1x", priority=2, weight=1.0)
-        heavy.offer(Request("t-3x", 1_000_000, 0.0))
-        light.offer(Request("t-1x", 1_000_000, 0.0))
+        heavy.offer(RequestBatch("t-3x", 0.0, [1_000_000]))
+        light.offer(RequestBatch("t-1x", 0.0, [1_000_000]))
         grants = scheduler.grant(400_000)
         ratio = grants[heavy.alloc_id] / grants[light.alloc_id]
         assert ratio == pytest.approx(3.0, rel=0.05)
@@ -192,26 +191,27 @@ class TestDbaBehaviour:
         scheduler = DbaScheduler(policy="proportional")
         greedy = scheduler.register_tcont("ONU1", "t-greedy")
         modest = scheduler.register_tcont("ONU2", "t-modest")
-        greedy.offer(Request("t-greedy", 900_000, 0.0))
-        modest.offer(Request("t-modest", 100_000, 0.0))
+        greedy.offer(RequestBatch("t-greedy", 0.0, [900_000]))
+        modest.offer(RequestBatch("t-modest", 0.0, [100_000]))
         grants = scheduler.grant(500_000)
         assert grants[greedy.alloc_id] > 4 * grants[modest.alloc_id]
 
     def test_partial_grant_fragments_request(self):
         scheduler = DbaScheduler()
         tcont = scheduler.register_tcont("ONU1", "t")
-        tcont.offer(Request("t", 1000, issued_at=0.0))
+        tcont.offer(RequestBatch("t", 0.0, [1000]))
         sent, completed = tcont.drain(400, now=1.0)
-        assert sent == 400 and completed == []
+        assert sent == 400 and len(completed) == 0
         sent, completed = tcont.drain(600, now=2.0)
         assert sent == 600
         assert len(completed) == 1
-        assert completed[0].latency_s == 2.0
+        assert completed.latencies() == [(2.0, 1)]
 
     def test_grant_cycle_event_on_bus(self):
         bus = EventBus()
         scheduler = DbaScheduler(bus=bus)
-        scheduler.register_tcont("ONU1", "t").offer(Request("t", 500, 0.0))
+        scheduler.register_tcont("ONU1", "t").offer(
+            RequestBatch("t", 0.0, [500]))
         scheduler.grant(1000, now=3.0)
         events = list(bus.history("pon.dba.grant"))
         assert len(events) == 1
@@ -245,7 +245,7 @@ class TestQosEnforcer:
         assert qos.submit(second, 0.0) == "queued"
         assert qos.submit(third, 0.0) == "queued"
         released = qos.admit([], now=0.001)      # 1 ms => 1000 fresh tokens
-        assert released == [second, third]
+        assert [r for batch in released for r in batch] == [second, third]
 
     def test_backpressure_asserted_and_cleared(self):
         bus = EventBus()
@@ -296,11 +296,21 @@ class TestQosEnforcer:
         # The queued request is NOT a terminal outcome yet.
         assert registry.get("traffic_requests_total").total() == 1
         released = qos.admit([], now=0.01)               # refill releases it
-        assert len(released) == 1
+        assert sum(map(len, released)) == 1
         counter = registry.get("traffic_requests_total")
         assert counter.labels(tenant="t", direction="upstream",
                               outcome="released").value == 1
         assert counter.total() == 2
+
+    def test_drop_past_an_empty_queue_does_not_stop_admission(self):
+        qos = QosEnforcer()
+        qos.add_tenant("t", rate_bps=8e6, burst_bytes=2500,
+                       queue_limit_bytes=1000)
+        # 3000 exceeds both the tokens and the queue: dropped. The queue
+        # stays empty, so 2000 is still admitted against the tokens.
+        admitted = qos.admit([RequestBatch("t", 0.0, [3000, 2000])], 0.0)
+        assert [list(batch.sizes) for batch in admitted] == [[2000]]
+        assert qos.policy("t").dropped_requests == 1
 
     def test_duplicate_tenant_rejected(self):
         qos = QosEnforcer()
@@ -367,6 +377,15 @@ class TestQosBackpressureBoundaries:
         assert event.get("state") == "asserted"
         assert event.get("queue_fill") == QosEnforcer.HIGH_WATERMARK
         assert qos.policy("t").backpressured
+
+    def test_admit_fill_exactly_at_high_watermark_asserts(self):
+        bus = EventBus()
+        qos = self._tenant(bus)
+        # 1000 is admitted; 500 then 300 queue, reaching exactly 0.8.
+        qos.admit([RequestBatch("t", 0.0, [1000, 500, 300])], now=0.0)
+        (event,) = bus.history("qos.backpressure")
+        assert event.get("state") == "asserted"
+        assert event.get("queue_fill") == QosEnforcer.HIGH_WATERMARK
 
     def test_fill_exactly_at_low_watermark_clears(self):
         bus = EventBus()
@@ -445,60 +464,78 @@ _admit_cycles = st.lists(
     min_size=1, max_size=6)
 
 
+def _cycle_batches(cycle, now):
+    """One cycle's arrivals as one batch per tenant, in order of first
+    appearance, plus the same requests in that order one by one."""
+    sizes = {}
+    for tenant, size in cycle:
+        sizes.setdefault(f"t{tenant}", []).append(size)
+    batches = [RequestBatch(tenant, now, tenant_sizes)
+               for tenant, tenant_sizes in sizes.items()]
+    return batches, [r for batch in batches for r in batch]
+
+
 class TestVectorizedAdmitMatchesReference:
-    """The vectorized admit path must be outcome-identical to the
-    per-request reference: same admitted lists, same policy/bucket state
-    (exact float equality — token spends do not commute), and the same
-    per-tenant event stream."""
+    """The batch admit path must be outcome-identical to the per-request
+    oracle: the same admitted requests per tenant, the same policy,
+    queue and bucket state (exact float equality — token spends do not
+    commute), the same event stream and the same counters. Each tenant
+    has its own T-CONT, so the order of admitted requests across
+    tenants is not observable and is not compared."""
+
+    TENANTS = ("t0", "t1")
+
+    @classmethod
+    def _pair(cls):
+        fast = QosEnforcer(bus=EventBus(),
+                           registry=telemetry.MetricsRegistry())
+        reference = PerRequestQos(bus=EventBus(),
+                                  registry=telemetry.MetricsRegistry())
+        for qos in (fast, reference):
+            for tenant in cls.TENANTS:
+                qos.add_tenant(tenant, rate_bps=8e6, burst_bytes=1000,
+                               queue_limit_bytes=3000)
+        return fast, reference
 
     @staticmethod
-    def _enforcer():
-        bus = EventBus()
-        qos = QosEnforcer(bus=bus, registry=telemetry.MetricsRegistry())
-        for tenant in ("t0", "t1"):
-            qos.add_tenant(tenant, rate_bps=8e6, burst_bytes=1000,
-                           queue_limit_bytes=3000)
-        return qos, bus
-
-    @staticmethod
-    def _tenant_events(bus, tenant):
-        return [(e.topic, e.timestamp, e.payload) for e in bus.history()
-                if e.payload.get("tenant") == tenant]
+    def _events(qos):
+        return [(e.topic, e.timestamp, e.payload)
+                for e in qos._bus.history()]
 
     @given(_admit_cycles)
     @settings(max_examples=50, deadline=None)
     def test_outcomes_state_and_events_match(self, cycles):
-        fast, fast_bus = self._enforcer()
-        reference, reference_bus = self._enforcer()
+        fast, reference = self._pair()
         for index, cycle in enumerate(cycles):
             now = index * 0.02
-            requests = [Request(f"t{t}", size, now) for t, size in cycle]
-            assert (fast.admit(list(requests), now)
-                    == qos_admit(reference, list(requests), now))
-        for tenant in ("t0", "t1"):
-            a, b = fast.policy(tenant), reference.policy(tenant)
+            batches, requests = _cycle_batches(cycle, now)
+            admitted = fast.admit(batches, now)
+            assert all(len(batch) for batch in admitted)
+            assert (per_tenant(r for batch in admitted for r in batch)
+                    == per_tenant(reference.admit(requests, now)))
+        for tenant in self.TENANTS:
+            a, b = fast.policy(tenant), reference.policies[tenant]
             assert a.admitted_bytes == b.admitted_bytes
             assert a.dropped_requests == b.dropped_requests
             assert a.dropped_bytes == b.dropped_bytes
             assert a.queued_bytes == b.queued_bytes
             assert list(a.queue) == list(b.queue)
+            assert len(a.queue) == len(b.queue)
             assert a.backpressured == b.backpressured
             assert a.bucket._tokens == b.bucket._tokens
-            assert (self._tenant_events(fast_bus, tenant)
-                    == self._tenant_events(reference_bus, tenant))
+        assert self._events(fast) == self._events(reference)
 
     @given(_admit_cycles)
     @settings(max_examples=30, deadline=None)
     def test_batched_telemetry_totals_match(self, cycles):
-        fast, _ = self._enforcer()
-        reference, _ = self._enforcer()
+        fast, reference = self._pair()
         for index, cycle in enumerate(cycles):
             now = index * 0.02
-            requests = [Request(f"t{t}", size, now) for t, size in cycle]
-            fast.admit(list(requests), now)
-            qos_admit(reference, list(requests), now)
+            batches, requests = _cycle_batches(cycle, now)
+            fast.admit(batches, now)
+            reference.admit(requests, now)
         for metric in ("traffic_requests_total", "traffic_bytes_total"):
-            for tenant in ("t0", "t1"):
+            for tenant in self.TENANTS:
                 for outcome in ("admitted", "released", "dropped"):
                     assert (fast._metrics.get(metric)
                             .labels(tenant=tenant, direction="upstream",
@@ -508,11 +545,147 @@ class TestVectorizedAdmitMatchesReference:
                                     outcome=outcome).value)
         for metric in ("traffic_queued_requests_total",
                        "traffic_queued_bytes_total"):
-            for tenant in ("t0", "t1"):
+            for tenant in self.TENANTS:
                 assert (fast._metrics.get(metric)
                         .labels(tenant=tenant, direction="upstream").value
                         == reference._metrics.get(metric)
                         .labels(tenant=tenant, direction="upstream").value)
+
+    @given(_admit_cycles)
+    @settings(max_examples=30, deadline=None)
+    def test_submit_matches_reference(self, cycles):
+        fast, reference = self._pair()
+        for index, cycle in enumerate(cycles):
+            now = index * 0.02
+            _, requests = _cycle_batches(cycle, now)
+            for request in requests:
+                assert (fast.submit(request, now)
+                        == reference.submit(request, now))
+            fast.cycle_end(now)
+            reference.cycle_end(now)
+        for tenant in self.TENANTS:
+            a, b = fast.policy(tenant), reference.policies[tenant]
+            assert list(a.queue) == list(b.queue)
+            assert a.bucket._tokens == b.bucket._tokens
+        assert self._events(fast) == self._events(reference)
+
+
+_pipeline_cycles = st.lists(
+    st.tuples(
+        st.lists(st.lists(st.integers(min_value=1, max_value=3000),
+                          max_size=8),
+                 min_size=3, max_size=3),           # sizes per tenant
+        st.integers(min_value=0, max_value=12_000)),  # grant capacity
+    min_size=1, max_size=8)
+
+
+class TestBatchPipelineMatchesPerRequestOracle:
+    """admit -> offer -> grant -> drain on request batches must equal the
+    same requests pushed one object at a time through the per-request
+    oracles: per-tenant admitted sequences, QoS and T-CONT queue
+    contents, bucket tokens, counters, events, drops, and the
+    completion latencies down to the mean and p95 bit for bit."""
+
+    TENANTS = ("t0", "t1", "t2")
+    CYCLE_S = 0.02
+
+    @given(_pipeline_cycles,
+           st.integers(min_value=500, max_value=5000),     # burst
+           st.integers(min_value=1000, max_value=8000),    # QoS queue
+           st.one_of(st.none(),                            # upstream, or
+                     st.integers(min_value=1, max_value=20_000)))
+    @settings(max_examples=60, deadline=None)
+    def test_pipeline_matches_oracle(self, cycles, burst, queue_limit,
+                                     downstream_limit):
+        from repro.traffic.downstream import DownstreamScheduler
+        from repro.traffic.loadgen import _latency_stats
+        from tests.oracles import PerRequestTCont, latency_stats
+
+        fast_qos = QosEnforcer(bus=EventBus(),
+                               registry=telemetry.MetricsRegistry())
+        ref_qos = PerRequestQos(bus=EventBus(),
+                                registry=telemetry.MetricsRegistry())
+        downstream = downstream_limit is not None
+        if downstream:
+            plane = DownstreamScheduler(queue_limit_bytes=downstream_limit)
+        else:
+            plane = DbaScheduler()
+        queues, ref_queues = {}, {}
+        fast_latencies = {t: {} for t in self.TENANTS}
+        ref_latencies = {t: [] for t in self.TENANTS}
+        for index, tenant in enumerate(self.TENANTS):
+            for qos in (fast_qos, ref_qos):
+                qos.add_tenant(tenant, rate_bps=8e6, burst_bytes=burst,
+                               queue_limit_bytes=queue_limit)
+            queues[tenant] = (plane.register_queue(f"S{index}", tenant)
+                              if downstream
+                              else plane.register_tcont(f"S{index}", tenant))
+            ref_queues[tenant] = PerRequestTCont(downstream_limit)
+
+        for index, (sizes, capacity) in enumerate(cycles):
+            now = index * self.CYCLE_S
+            done_at = now + self.CYCLE_S
+            batches = [RequestBatch(tenant, now, tenant_sizes)
+                       for tenant, tenant_sizes in zip(self.TENANTS, sizes)]
+            admitted = fast_qos.admit(batches, now)
+            ref_admitted = ref_qos.admit(
+                [r for batch in batches for r in batch], now)
+            assert (per_tenant(r for batch in admitted for r in batch)
+                    == per_tenant(ref_admitted))
+            for batch in admitted:
+                if downstream:
+                    plane.enqueue(batch)
+                else:
+                    queues[batch.tenant].offer(batch)
+            for request in ref_admitted:
+                ref_queues[request.tenant].offer(request)
+            for tenant in self.TENANTS:
+                assert (queues[tenant].queued_bytes
+                        == ref_queues[tenant].queued_bytes)
+
+            # Equal backlogs get equal grants, so the fast plane's grant
+            # (or, downstream, what it sent) drains the oracle too.
+            if downstream:
+                drained = plane.run_cycle(capacity, now=done_at)
+            else:
+                grants = plane.grant(capacity, now)
+                drained = {tenant: queues[tenant].drain(
+                               grants.get(queues[tenant].alloc_id, 0),
+                               done_at)
+                           for tenant in self.TENANTS}
+            for tenant in self.TENANTS:
+                sent, completed = drained.get(
+                    tenant, (0, Completions(done_at, [], 0)))
+                ref_sent, ref_done = ref_queues[tenant].drain(sent, done_at)
+                assert sent == ref_sent
+                expanded = [latency for latency, count
+                            in completed.latencies() for _ in range(count)]
+                assert len(expanded) == len(completed)
+                assert expanded == ref_done
+                store = fast_latencies[tenant]
+                for latency, count in completed.latencies():
+                    store[latency] = store.get(latency, 0) + count
+                ref_latencies[tenant].extend(ref_done)
+
+        for tenant in self.TENANTS:
+            a, b = fast_qos.policy(tenant), ref_qos.policies[tenant]
+            assert list(a.queue) == list(b.queue)
+            assert a.bucket._tokens == b.bucket._tokens
+            assert a.dropped_requests == b.dropped_requests
+            assert list(queues[tenant].queue) == list(ref_queues[tenant].queue)
+            if downstream:
+                assert (queues[tenant].dropped_requests
+                        == ref_queues[tenant].dropped_requests)
+                assert (queues[tenant].dropped_bytes
+                        == ref_queues[tenant].dropped_bytes)
+            assert (_latency_stats(fast_latencies[tenant])
+                    == latency_stats(ref_latencies[tenant]))
+        assert (fast_qos._metrics.snapshot()
+                == ref_qos._metrics.snapshot())
+        assert ([(e.topic, e.timestamp, e.payload)
+                 for e in fast_qos._bus.history()]
+                == [(e.topic, e.timestamp, e.payload)
+                    for e in ref_qos._bus.history()])
 
 
 # ---------------------------------------------------------------------------
@@ -742,9 +915,9 @@ class TestTerminalOutcomeInvariant:
         offered = 0
         for index in range(40):
             now = index * 0.001
-            batch = [Request("t", 700, now), Request("t", 900, now)]
+            batch = RequestBatch("t", now, [700, 900])
             offered += len(batch)
-            qos.admit(batch, now)
+            qos.admit([batch], now)
         # Each refill mints at most burst_bytes tokens, so flush twice to
         # guarantee the queue (up to queue_limit_bytes deep) fully drains.
         qos.admit([], now=10.0)
@@ -760,7 +933,7 @@ class TestTerminalOutcomeInvariant:
 
     def test_reference_path_holds_the_same_invariant(self):
         registry = telemetry.MetricsRegistry()
-        qos = QosEnforcer(registry=registry)
+        qos = PerRequestQos(registry=registry)
         qos.add_tenant("t", rate_bps=8e6, burst_bytes=2000,
                        queue_limit_bytes=3000)
         offered = 0
@@ -768,9 +941,9 @@ class TestTerminalOutcomeInvariant:
             now = index * 0.001
             batch = [Request("t", 700, now), Request("t", 900, now)]
             offered += len(batch)
-            qos_admit(qos, batch, now)
-        qos_admit(qos, [], now=10.0)
-        qos_admit(qos, [], now=20.0)
+            qos.admit(batch, now)
+        qos.admit([], now=10.0)
+        qos.admit([], now=20.0)
         assert registry.get("traffic_requests_total").total() == offered
 
 
@@ -784,7 +957,7 @@ class TestDrainPathEvents:
         for _ in range(4):                              # queue at 100%
             assert qos.submit(Request("t", 500, 0.0), now=0.0) == "queued"
         released = qos.admit([], now=0.01)      # refills the full 2000 burst
-        assert len(released) == 4                       # everything drains
+        assert sum(map(len, released)) == 4             # everything drains
         states = [e.get("state") for e in bus.history("qos.backpressure")]
         assert states == ["asserted", "cleared"]
 
