@@ -3,10 +3,11 @@
 Three measurements from the shard-and-batch refactor:
 
 * **fleet shard-pool scaling** — the same 32-OLT fleet run through
-  ``run_fleet_parallel`` with one in-process worker vs a 4-process
-  shard pool. The rendered reports must be byte-identical (the merge
-  order ``(timestamp, shard_index, seq)`` is a total order independent
-  of worker assignment); the wall-clock floor (>= 1.5x) only applies on
+  ``run_fleet_parallel`` with ``workers=1`` (the parent hosts every
+  shard) vs ``workers=4`` (the parent plus 3 spawned). The rendered
+  reports must be byte-identical (the merge order
+  ``(timestamp, shard_index, seq)`` is a total order independent of
+  worker assignment); the wall-clock floor (>= 1.5x) only applies on
   machines with >= 4 usable cores — a smaller runner still records the
   numbers but cannot demonstrate parallel speedup, so the result table
   and ``BENCH_E20.json`` (``pool_floor_enforced``, ``usable_cores``) say
@@ -94,8 +95,9 @@ def test_fleet_shard_pool_speedup(benchmark, report, bench_record):
         f"{SECONDS:g}s simulated, seed {SEED} ({cores} usable cores)",
         "",
         f"{'path':<24} {'wall clock':>12}",
-        f"{'workers=1 (in-proc)':<24} {single_s:>11.2f}s",
-        f"{f'workers={WORKERS} (spawn)':<24} {multi_s:>11.2f}s",
+        f"{'workers=1 (parent only)':<24} {single_s:>11.2f}s",
+        f"{f'workers={WORKERS} (parent + {WORKERS - 1})':<24} "
+        f"{multi_s:>11.2f}s",
         "",
         f"speedup: {speedup:.2f}x (floor 1.5x, enforced on >=4-core "
         "machines only)",

@@ -12,7 +12,7 @@ Commands:
                   DBA + QoS traffic plane and print the fairness report
                   (with ``--no-dba``/``--no-qos`` ablations).
 * ``fleet``     — run N self-contained OLT shards through the shard pool
-                  (``--workers N`` spreads them over worker processes;
+                  (``--workers N``: the parent plus N-1 spawned processes;
                   same-seed output is byte-identical for any worker
                   count) and print per-OLT plus fleet-aggregate metrics
                   (throughput, Jain across OLTs, alert latency).
@@ -255,9 +255,9 @@ def main(argv=None) -> int:
     fleet.add_argument("--no-hostile", action="store_true",
                        help="omit the flooding T8 tenant on the first OLT")
     fleet.add_argument("--workers", type=int, default=1,
-                       help="worker processes for the shard pool (1 = "
-                            "in-process; output is byte-identical for "
-                            "any value)")
+                       help="processes that run shards: the parent plus "
+                            "N-1 spawned (1 = none spawned); output is "
+                            "byte-identical for any value")
     fleet.add_argument("--downstream", action="store_true",
                        help="run the downstream scheduling plane in every "
                             "shard (bidirectional traffic; output stays "

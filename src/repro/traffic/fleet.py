@@ -5,20 +5,20 @@ tenants, DBA scheduler and QoS enforcer) is fully self-contained: a
 :class:`ShardRunner` owns its clock, discrete-event
 :class:`~repro.common.sim.Scheduler` and bus, so a shard's event stream
 is a function of its :class:`ShardConfig` alone. A :class:`ShardPool`
-advances every shard to the next monitor boundary, either in-process
-(``workers=1``, the default) or in spawn-safe worker processes
-(``workers=N``), and the :class:`ParallelFleetDriver` re-publishes the
-returned :class:`CycleResult` events onto its fleet bus in deterministic
+advances every shard to the next monitor boundary on ``workers=N``
+hosts, the parent plus N-1 spawned worker processes, and the
+:class:`ParallelFleetDriver` re-publishes the returned
+:class:`CycleResult` events onto its fleet bus in deterministic
 ``(timestamp, shard_index, seq)`` order via
 :meth:`~repro.common.events.EventBus.publish_batch`. Because every shard
-is seeded identically no matter which worker hosts it, the rendered
-fleet report is **byte-identical** for any worker count.
+is seeded identically no matter which host runs it, the rendered fleet
+report is **byte-identical** for any worker count.
 
-Fleet telemetry is deliberately fleet-normalized: per-OLT generators run
-with telemetry disabled (an OLT-local share gauge would make a benign
-tenant on a quiet OLT look like a noisy neighbour fleet-wide), and the
-monitor pass at each boundary publishes each tenant's share of the
-*fleet's* offered load into a fleet-local registry, which the
+Fleet telemetry is deliberately fleet-normalized: shards are built with
+telemetry disabled wherever they run (an OLT-local share gauge would make
+a benign tenant on a quiet OLT look like a noisy neighbour fleet-wide),
+and the monitor pass at each boundary publishes each tenant's share of
+the *fleet's* offered load into a fleet-local registry, which the
 metrics-driven :class:`~repro.security.monitor.abuse.ResourceAbuseDetector`
 samples.
 Abuse alerts land on the fleet bus; the fleet report records per-tenant
@@ -30,24 +30,26 @@ lessons (T6-T8, M15/M18) only make quantifiable at fleet scale.
 from __future__ import annotations
 
 import multiprocessing as mp
+import traceback
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from operator import methodcaller
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.clock import SimClock
 from repro.common.events import Event, EventBus
 from repro.common.sim import Scheduler
-from repro.common.telemetry import MetricsRegistry
+from repro.common import telemetry
 from repro.pon.network import PonNetwork
 from repro.security.monitor.abuse import ResourceAbuseDetector
 from repro.security.monitor.falco import FalcoEngine
 from repro.traffic.loadgen import (
     LoadGenerator, TenantSpec, TrafficReport, jain_index,
 )
-from repro.traffic.telemetry import OFFERED_SHARE_GAUGE, TrafficTelemetry
+from repro.traffic.telemetry import OFFERED_SHARE_GAUGE
 
 __all__ = ["FleetReport", "fleet_tenant_specs", "ShardConfig",
-           "fleet_shard_configs", "CycleResult", "ShardRunner", "ShardPool",
-           "ParallelFleetDriver", "run_fleet_parallel"]
+           "fleet_shard_configs", "CycleResult", "ShardRunner", "ShardFailure",
+           "ShardPool", "ParallelFleetDriver", "run_fleet_parallel"]
 
 _BENIGN_PROFILES = ("steady", "bursty", "diurnal")
 
@@ -83,10 +85,10 @@ class ShardConfig:
     """Everything needed to (re)build one shard, in any process.
 
     Pure data — picklable, so the same config builds an identical shard
-    in the parent (``workers=1`` fallback) or in a spawned worker. The
-    seed is the fleet seed: shard determinism comes from string-seeded
-    profile RNGs plus the shard-local scheduler seed, both derived from
-    the config alone, never from which worker hosts the shard.
+    in the parent or in a spawned worker. The seed is the fleet seed:
+    shard determinism comes from string-seeded profile RNGs plus the
+    shard-local scheduler seed, both derived from the config alone,
+    never from which process hosts the shard.
     """
 
     index: int
@@ -246,12 +248,11 @@ class CycleResult:
 class ShardRunner:
     """One self-contained OLT shard: own clock, scheduler and bus.
 
-    Identical code runs in the parent (``workers=1``) and in spawned
-    workers, which is what makes the fleet output worker-count-invariant:
-    a shard's entire event stream is a function of its
-    :class:`ShardConfig` alone. Every bus event the shard emits is
-    captured (with a shard-local sequence number) for the driver to merge
-    deterministically.
+    Identical code runs in the parent and in spawned workers, which is
+    what makes the fleet output worker-count-invariant: a shard's entire
+    event stream is a function of its :class:`ShardConfig` alone. Every
+    bus event the shard emits is captured (with a shard-local sequence
+    number) for the driver to merge deterministically.
     """
 
     def __init__(self, config: ShardConfig) -> None:
@@ -259,15 +260,21 @@ class ShardRunner:
         self.index = config.index
         self.name = config.name
         self.clock = SimClock()
-        self.bus = EventBus()
-        self.scheduler = Scheduler(clock=self.clock, seed=config.seed)
-        self.network = PonNetwork.build(config.name,
-                                        clock=self.clock, bus=self.bus)
-        self.generator = LoadGenerator(
-            self.network, list(config.specs), cycle_s=config.cycle_s,
-            seed=config.seed, sim=self.scheduler,
-            downstream=config.downstream,
-            traffic_telemetry=TrafficTelemetry.disabled())
+        # Shards meter nothing, wherever they run. Components consult
+        # the switch only at construction; the caller's setting returns.
+        enabled = telemetry.telemetry_enabled()
+        telemetry.set_telemetry_enabled(False)
+        try:
+            self.bus = EventBus()
+            self.scheduler = Scheduler(clock=self.clock, seed=config.seed)
+            self.network = PonNetwork.build(config.name,
+                                            clock=self.clock, bus=self.bus)
+            self.generator = LoadGenerator(
+                self.network, list(config.specs), cycle_s=config.cycle_s,
+                seed=config.seed, sim=self.scheduler,
+                downstream=config.downstream)
+        finally:
+            telemetry.set_telemetry_enabled(enabled)
         self._pending: List[EventRow] = []
         self._seq = 0
         self.bus.subscribe("", self._capture)
@@ -305,45 +312,66 @@ class ShardRunner:
         return self.generator.report()
 
 
-def _shard_worker_main(conn, configs: Sequence[ShardConfig]) -> None:
-    """Spawn entry point: host a bucket of shards, driven over a pipe.
+class ShardFailure(RuntimeError):
+    """A shard host raised or died.
 
-    Commands are ``(verb, arg)`` tuples — ``("start", seconds)``,
-    ``("advance", until)``, ``("report", None)`` each answer with a list
-    (one entry per hosted shard, in bucket order); ``("stop", None)``
-    ends the loop. Process-wide telemetry is disabled first so worker
-    shards never meter into a registry nobody will ever scrape.
+    ``shards`` names every shard of the failed host's bucket; ``detail``
+    is the formatted traceback from wherever the bucket ran, or what the
+    parent saw of a host that died. Picklable, so a worker sends it back
+    as its reply.
     """
-    from repro.common.telemetry import set_telemetry_enabled
-    set_telemetry_enabled(False)
-    runners = [ShardRunner(config) for config in configs]
+
+    def __init__(self, shards: Sequence[str], detail: str) -> None:
+        super().__init__(tuple(shards), detail)
+        self.shards = tuple(shards)
+        self.detail = detail
+
+    def __str__(self) -> str:
+        return f"shards {', '.join(self.shards)} failed:\n{self.detail}"
+
+
+def _each(names: Sequence[str], fn: Callable[[Any], Any],
+          items: Sequence[Any]) -> List[Any]:
+    """``fn`` over one bucket; whatever it raises becomes a
+    :class:`ShardFailure` naming the bucket's shards."""
     try:
-        while True:
-            command, arg = conn.recv()
-            if command == "start":
-                conn.send([runner.start(arg) for runner in runners])
-            elif command == "advance":
-                conn.send([runner.advance(arg) for runner in runners])
-            elif command == "report":
-                conn.send([(runner.name, runner.report())
-                           for runner in runners])
-            elif command == "stop":
-                break
-    except EOFError:
-        pass
-    finally:
-        conn.close()
+        return [fn(item) for item in items]
+    except Exception as exc:
+        raise ShardFailure(names, traceback.format_exc()) from exc
+
+
+def _shard_worker_main(conn, configs: Sequence[ShardConfig]) -> None:
+    """Spawn entry point: host one bucket of shards, driven over a pipe.
+
+    A command is a :class:`ShardRunner` method name plus its arguments,
+    answered with one result per hosted shard in bucket order. If
+    building or running the bucket raises, the :class:`ShardFailure` is
+    the answer and the next message ends the worker; otherwise it runs
+    until the parent terminates it or goes away.
+    """
+    names = [config.name for config in configs]
+    with conn:
+        try:
+            runners = _each(names, ShardRunner, configs)
+            while True:
+                method, args = conn.recv()
+                conn.send(_each(names, methodcaller(method, *args), runners))
+        except ShardFailure as failure:
+            conn.send(failure)
+            conn.poll(None)
+        except EOFError:
+            pass
 
 
 class ShardPool:
-    """Advances a set of shards in lockstep, in-process or across workers.
+    """Advances a set of shards in lockstep on ``workers`` hosts.
 
-    ``workers=1`` (the default) hosts every shard in the calling process
-    — no multiprocessing at all, the portable fallback. ``workers>1``
-    spawns that many worker processes (``spawn`` context, so the pool is
-    fork-safety-agnostic) and deals shards round-robin across them.
-    Results always come back sorted by shard index, so callers never see
-    worker assignment.
+    Shards are dealt round-robin into ``workers`` buckets: the parent
+    hosts bucket 0 and spawns a worker (``spawn`` context) per other
+    bucket, so ``workers=1`` spawns nothing. The parent runs its bucket
+    while the workers run theirs; results come back sorted by shard
+    index, so callers never see the bucket assignment. A host that
+    raises or dies surfaces as :class:`ShardFailure`.
 
     A pool is single-use: shards cannot be rewound, so a second
     :meth:`start` or any call after :meth:`close` raises
@@ -363,30 +391,49 @@ class ShardPool:
         self._conns: List[Any] = []
         self._started = False
         self._closed = False
-        if self.workers == 1:
-            self._local = [ShardRunner(config) for config in self.configs]
-            return
         ctx = mp.get_context("spawn")
-        buckets: List[List[ShardConfig]] = [[] for _ in range(self.workers)]
-        for position, config in enumerate(self.configs):
-            buckets[position % self.workers].append(config)
-        for bucket in buckets:
-            parent_conn, child_conn = ctx.Pipe()
-            process = ctx.Process(target=_shard_worker_main,
-                                  args=(child_conn, bucket), daemon=True)
-            process.start()
-            child_conn.close()
-            self._procs.append(process)
-            self._conns.append(parent_conn)
+        try:
+            # Workers start up while the parent builds its own bucket.
+            for bucket in range(1, self.workers):
+                parent_conn, child_conn = ctx.Pipe()
+                process = ctx.Process(
+                    target=_shard_worker_main, daemon=True,
+                    args=(child_conn, self.configs[bucket::self.workers]))
+                process.start()
+                child_conn.close()
+                self._procs.append(process)
+                self._conns.append(parent_conn)
+            local = self.configs[::self.workers]
+            self._local = _each([config.name for config in local],
+                                ShardRunner, local)
+        except BaseException:
+            self.close()
+            raise
 
     @property
     def n_shards(self) -> int:
         return len(self.configs)
 
-    def _broadcast(self, command: str, arg: Any) -> List[Any]:
-        for conn in self._conns:
-            conn.send((command, arg))
-        return [item for conn in self._conns for item in conn.recv()]
+    def _command(self, method: str, *args: Any) -> List[Any]:
+        """Call ``method`` on every shard; results in config order."""
+        self._require_open()
+        try:
+            for bucket, conn in enumerate(self._conns, 1):
+                conn.send((method, args))
+            replies = [_each([runner.name for runner in self._local],
+                             methodcaller(method, *args), self._local)]
+            for bucket, conn in enumerate(self._conns, 1):
+                replies.append(conn.recv())
+                if isinstance(replies[-1], ShardFailure):
+                    raise replies[-1]
+        except (EOFError, OSError) as exc:
+            # Free a failed send's pickle buffer now, not in a gc cycle.
+            traceback.clear_frames(exc.__traceback__)
+            raise ShardFailure(
+                [config.name for config in self.configs[bucket::self.workers]],
+                f"shard host died ({exc!r})") from exc
+        return [replies[position % self.workers][position // self.workers]
+                for position in range(len(self.configs))]
 
     def _require_open(self) -> None:
         if self._closed:
@@ -402,44 +449,27 @@ class ShardPool:
                                "rewound, so build a new pool (or fleet "
                                "driver) for another run")
         self._started = True
-        if self._local:
-            counts = [runner.start(seconds) for runner in self._local]
-        else:
-            counts = self._broadcast("start", seconds)
-        return counts[0]
+        return self._command("start", seconds)[0]
 
     def advance(self, until: float) -> List[CycleResult]:
         """Advance every shard to ``until``; results in shard-index order."""
-        self._require_open()
-        if self._local:
-            results = [runner.advance(until) for runner in self._local]
-        else:
-            results = self._broadcast("advance", until)
+        results = self._command("advance", until)
         results.sort(key=lambda result: result.shard_index)
         return results
 
     def reports(self) -> Dict[str, TrafficReport]:
         """Per-shard traffic reports, keyed and ordered by shard name."""
-        self._require_open()
-        if self._local:
-            pairs = [(runner.name, runner.report())
-                     for runner in self._local]
-        else:
-            pairs = self._broadcast("report", None)
-        return {name: report for name, report in sorted(pairs)}
+        names = [config.name for config in self.configs]
+        return dict(sorted(zip(names, self._command("report"))))
 
     def close(self) -> None:
-        """Stop workers (idempotent; a no-op for the in-process pool)."""
-        for conn in self._conns:
-            try:
-                conn.send(("stop", None))
-            except (BrokenPipeError, OSError):
-                pass
+        """Stop the workers (idempotent). A pool is single-use, so they
+        hold nothing worth a graceful exit: terminating them is prompt
+        even for one still busy with a command after a failure."""
         for process in self._procs:
-            process.join(timeout=10)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=10)
+            process.terminate()
+        for process in self._procs:
+            process.join()
         for conn in self._conns:
             conn.close()
         self._procs = []
@@ -481,10 +511,10 @@ class ParallelFleetDriver:
             n_olts, n_tenants, seed=seed, cycle_s=cycle_s,
             rate_bps=rate_bps, hostile=hostile, downstream=downstream)
         self.pool = ShardPool(self.configs, workers=workers)
-        self.bus = EventBus()
-        # Fleet-local registry: the abuse detector samples *fleet*
-        # shares, never the process-wide registry of whoever embeds us.
-        self.registry = MetricsRegistry()
+        # Fleet-local registry for the bus and the *fleet* shares the
+        # detector samples, never the process-wide one of our embedder.
+        self.registry = telemetry.MetricsRegistry()
+        self.bus = EventBus(metrics=self.registry)
         self._offered_gauge = self.registry.gauge(
             OFFERED_SHARE_GAUGE,
             "Fraction of fleet-wide offered upstream load, per tenant.",

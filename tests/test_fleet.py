@@ -4,6 +4,7 @@ and the fleet CLI subcommand."""
 
 import pytest
 
+from repro.common import telemetry
 from repro.security.comms.keyrotation import KeyRotationService
 from repro.traffic.fleet import (
     ParallelFleetDriver, fleet_tenant_specs, run_fleet_parallel,
@@ -90,6 +91,20 @@ class TestFleetDriver:
         assert "traffic_tenant_offered_share" in driver.registry
         for runner in driver.pool._local:
             assert not runner.generator.telemetry.enabled
+
+    def test_shards_meter_nothing_into_the_default_registry(self):
+        telemetry.reset_default_registry()
+        try:
+            for _ in range(2):
+                small_fleet().run(0.2)
+            names = [family.name
+                     for family in telemetry.default_registry().families()]
+            assert not [name for name in names
+                        if name.startswith(("pon_", "qos_", "traffic_",
+                                            "bus_"))]
+            assert telemetry.telemetry_enabled()
+        finally:
+            telemetry.reset_default_registry()
 
     def test_security_cadence_rides_a_shard_scheduler(self):
         driver = small_fleet()

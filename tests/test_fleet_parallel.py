@@ -6,15 +6,28 @@ rendered fleet report must be byte-identical no matter how many worker
 processes host the shards.
 """
 
+import dataclasses
+import multiprocessing
+import os
 import pickle
+import signal
+import time
 
 import pytest
 
 from repro.__main__ import main
+from repro.common import telemetry
 from repro.traffic.fleet import (
-    CycleResult, ParallelFleetDriver, ShardConfig, ShardPool,
+    CycleResult, ParallelFleetDriver, ShardConfig, ShardFailure, ShardPool,
     ShardRunner, fleet_shard_configs, run_fleet_parallel,
 )
+
+
+def with_bad_profile(config):
+    """``config`` with its first tenant on a profile kind that does not
+    exist, so building the shard raises."""
+    bad = dataclasses.replace(config.specs[0], profile="no-such-kind")
+    return dataclasses.replace(config, specs=(bad,) + config.specs[1:])
 
 
 class TestShardConfigs:
@@ -79,6 +92,20 @@ class TestShardRunner:
         assert streams[0] == streams[1]
 
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_construction_restores_the_telemetry_switch(self, enabled):
+        config = fleet_shard_configs(1, 2)[0]
+        telemetry.set_telemetry_enabled(enabled)
+        try:
+            ShardRunner(config)
+            assert telemetry.telemetry_enabled() is enabled
+            with pytest.raises(ValueError, match="unknown profile kind"):
+                ShardRunner(with_bad_profile(config))
+            assert telemetry.telemetry_enabled() is enabled
+        finally:
+            telemetry.set_telemetry_enabled(True)
+
+
 class TestShardPool:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -88,7 +115,7 @@ class TestShardPool:
 
     def test_workers_clamped_to_shard_count(self):
         pool = ShardPool(fleet_shard_configs(1, 2), workers=8)
-        assert pool.workers == 1         # one shard -> in-process fallback
+        assert pool.workers == 1         # one shard -> nothing spawned
         assert pool._local
         pool.close()
 
@@ -103,8 +130,111 @@ class TestShardPool:
         assert list(reports) == ["olt-1", "olt-2"]
         pool.close()
 
+    @pytest.mark.parametrize("workers, spawned, parent_hosts", [
+        (1, 0, ["olt-1", "olt-2", "olt-3"]),
+        (2, 1, ["olt-1", "olt-3"]),
+    ])
+    def test_the_parent_hosts_bucket_zero(self, workers, spawned,
+                                          parent_hosts):
+        before = set(multiprocessing.active_children())
+        pool = ShardPool(fleet_shard_configs(3, 6), workers=workers)
+        try:
+            children = set(multiprocessing.active_children()) - before
+            assert len(children) == len(pool._procs) == spawned
+            assert [runner.name for runner in pool._local] == parent_hosts
+        finally:
+            pool.close()
+        assert not set(multiprocessing.active_children()) - before
+
+
+class TestShardFailures:
+    def test_spawned_bucket_whose_config_raises(self):
+        configs = fleet_shard_configs(2, 4)
+        configs[1] = with_bad_profile(configs[1])
+        pool = ShardPool(configs, workers=2)
+        try:
+            with pytest.raises(ShardFailure) as info:
+                pool.start(0.2)
+        finally:
+            pool.close()
+        assert info.value.shards == ("olt-2",)
+        assert "Traceback" in info.value.detail
+        assert "unknown profile kind 'no-such-kind'" in info.value.detail
+        assert "olt-2" in str(info.value)
+
+    def test_parent_bucket_whose_config_raises(self):
+        configs = fleet_shard_configs(2, 4)
+        configs[0] = with_bad_profile(configs[0])
+        before = set(multiprocessing.active_children())
+        with pytest.raises(ShardFailure) as info:
+            ShardPool(configs, workers=2)
+        assert info.value.shards == ("olt-1",)
+        assert "unknown profile kind" in info.value.detail
+        # The worker spawned before the parent's bucket failed is gone.
+        assert not set(multiprocessing.active_children()) - before
+
+    def test_failure_survives_pickling(self):
+        failure = ShardFailure(["olt-2", "olt-4"], "Traceback ...")
+        copy = pickle.loads(pickle.dumps(failure))
+        assert (copy.shards, copy.detail) == (failure.shards, failure.detail)
+        assert str(copy) == str(failure)
+
+    def test_killed_worker_is_a_shard_failure(self):
+        pool = ShardPool(fleet_shard_configs(4, 8), workers=2)
+        try:
+            pool.start(0.2)
+            pool.advance(0.1)
+            worker = pool._procs[0]
+            os.kill(worker.pid, signal.SIGKILL)
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+            with pytest.raises(ShardFailure) as info:
+                pool.advance(0.2)
+            assert info.value.shards == ("olt-2", "olt-4")
+            assert "died" in info.value.detail
+        finally:
+            pool.close()
+
+    def test_close_is_prompt_after_the_parent_bucket_raises(self):
+        # The worker's bucket is big enough that its reply is still being
+        # computed (and is larger than a pipe buffer) when the parent's
+        # own bucket fails.
+        pool = ShardPool(fleet_shard_configs(2, 128), workers=2)
+        worker = pool._procs[0]
+
+        def boom(until):
+            raise RuntimeError("parent bucket failed")
+
+        try:
+            pool.start(2.0)
+            pool._local[0].advance = boom
+            with pytest.raises(ShardFailure) as info:
+                pool.advance(2.0)
+            assert info.value.shards == ("olt-1",)
+            assert "parent bucket failed" in info.value.detail
+        finally:
+            began = time.monotonic()
+            pool.close()
+            elapsed = time.monotonic() - began
+        assert elapsed < 3.0
+        assert not worker.is_alive()
+        pool.close()                      # idempotent
+        with pytest.raises(RuntimeError, match="pool is closed"):
+            pool.advance(2.0)
+
 
 class TestParallelDriver:
+    def test_reports_identical_for_any_worker_count(self):
+        # 3 workers split 4 shards unevenly; 6 is more than the shards.
+        renders = []
+        for workers in (1, 2, 3, 6):
+            report = run_fleet_parallel(n_olts=4, n_tenants=12, seconds=0.3,
+                                        seed=5, workers=workers)
+            renders.append([report.render()]
+                           + [report.olts[olt].render()
+                              for olt in sorted(report.olts)])
+        assert all(render == renders[0] for render in renders[1:])
+
     def test_workers_do_not_change_the_rendered_report(self):
         kwargs = dict(n_olts=2, n_tenants=6, seconds=0.3, seed=5)
         single = run_fleet_parallel(workers=1, **kwargs).render()
