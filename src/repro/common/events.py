@@ -19,14 +19,16 @@ unsubscribing bumps a plan version, so stale plans are rebuilt lazily on
 their next use — the hot path never re-walks the pattern table or copies
 handler lists per event. Fleet-scale cycle loops publish through
 :meth:`EventBus.publish_batch`, which amortises the history trim and the
-metrics updates across a whole cycle's events.
+metrics updates across a whole cycle's events. :meth:`EventBus.topics`
+names what the live subscriptions consume, so a producer in another
+process (a fleet shard) can capture only those topics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
-    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
 )
 
 
@@ -159,6 +161,18 @@ class EventBus:
                 self._compact()
 
         return unsubscribe
+
+    def topics(self) -> Tuple[str, ...]:
+        """The topics live subscriptions consume, as minimal patterns.
+
+        Sorted, with every pattern that a shorter live pattern already
+        covers dropped (``""`` covers everything), so subscribing one
+        handler per returned pattern delivers each event at most once.
+        Empty when nothing is subscribed.
+        """
+        return minimal_topics(
+            pattern for pattern, handlers in self._subscribers.items()
+            if any(subscription.active for subscription in handlers))
 
     def _compact(self) -> None:
         """Drop tombstoned registrations from the pattern table."""
@@ -315,6 +329,19 @@ class EventBus:
     def clear_history(self) -> None:
         """Forget retained events (subscribers stay registered)."""
         self._history.clear()
+
+
+def minimal_topics(patterns: Iterable[str]) -> Tuple[str, ...]:
+    """``patterns`` sorted, without those a shorter one covers.
+
+    A dotted prefix sorts before every topic below it, so one pass over
+    the sorted patterns sees each covering pattern before what it covers.
+    """
+    kept: List[str] = []
+    for pattern in sorted(set(patterns)):
+        if not any(_topic_matches(cover, pattern) for cover in kept):
+            kept.append(pattern)
+    return tuple(kept)
 
 
 def _topic_matches(pattern: str, topic: str) -> bool:

@@ -25,8 +25,10 @@ but well-behaved tenant briefly spikes above 2x fair share, a flooder
 stays there pass after pass.
 
 When a bus is attached, each finding is also published as a
-``monitor.alert`` event (rule ``resource_abuse``) with a ``tenant=``
-token in its summary, so :class:`~repro.security.monitor.correlate.
+``monitor.alert`` event (rule ``resource_abuse``) carrying structured
+``tenant``, ``metric`` (the gauge family, ``""`` for runtime sampling)
+and ``share`` (the finding's worst share) fields, with a ``tenant=``
+token leading its summary text, so :class:`~repro.security.monitor.correlate.
 LiveCorrelator` folds abuse into the same incident stream as Falco
 rules. Detection feeds alerts; *enforcement* is limits
 (:class:`~repro.virt.container.ResourceLimits`), QoS policing
@@ -239,5 +241,7 @@ class ResourceAbuseDetector:
                 "monitor.alert", "abuse-detector", now,
                 rule="resource_abuse", priority=int(severity),
                 alert_source=finding.metric or finding.container_id,
+                tenant=finding.tenant, metric=finding.metric,
+                share=finding.worst_share,
                 summary=(f"tenant={finding.tenant} resource abuse: "
                          f"{finding.detail}"))

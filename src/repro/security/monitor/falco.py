@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common import telemetry
-from repro.common.events import Event, EventBus
+from repro.common.events import Event, EventBus, minimal_topics
 
 Condition = Callable[[Event], bool]
 
@@ -71,8 +71,12 @@ class Alert:
     summary: str
 
 
+def _not_monitor(event: Event) -> bool:
+    return not event.topic.startswith("monitor.")
+
+
 class _RuleList(list):
-    """A rule list that calls ``on_change`` before every mutation."""
+    """A rule list that calls ``on_change`` after every mutation."""
 
     __slots__ = ("_on_change",)
 
@@ -86,8 +90,10 @@ def _invalidating(name: str) -> Callable[..., object]:
     method = getattr(list, name)
 
     def mutate(self: _RuleList, *args: object, **kwargs: object) -> object:
-        self._on_change()
-        return method(self, *args, **kwargs)
+        try:
+            return method(self, *args, **kwargs)
+        finally:
+            self._on_change()
 
     mutate.__name__ = name
     return mutate
@@ -107,6 +113,11 @@ class FalcoEngine:
     (the live correlator, dashboards) can subscribe instead of polling
     ``engine.alerts``. The engine never evaluates its own alert events
     (no feedback loop): ``monitor.*`` topics are excluded from handling.
+
+    :meth:`attach` watches every topic by default, like Falco's ``-A``;
+    with ``all_events=False`` the engine subscribes only to its rules'
+    topics, as Falco does by default since 0.35, so events no rule can
+    match are never delivered, counted or (on a fleet) shipped.
     """
 
     def __init__(self, rules: Optional[Sequence[FalcoRule]] = None,
@@ -114,14 +125,16 @@ class FalcoEngine:
         # topic -> the rules that apply to it, in rule order; dropped
         # whenever ``rules`` changes (see _RuleList).
         self._by_topic: Dict[str, Tuple[FalcoRule, ...]] = {}
+        self._bus: Optional[EventBus] = None
+        self._all_events = True
+        self._watched: Tuple[str, ...] = ()
+        self._unsubscribes: List[Callable[[], None]] = []
         self.rules = rules if rules is not None else default_rules()
         self.alerts: List[Alert] = []
         self.events_processed = 0
         self.rule_evaluations = 0
         self.rule_errors: Dict[str, int] = {}
         self.publish_alerts = publish_alerts
-        self._bus: Optional[EventBus] = None
-        self._unsubscribe: Optional[Callable[[], None]] = None
         metrics = telemetry.active_registry()
         self._metrics = metrics
         if metrics is not None:
@@ -138,14 +151,20 @@ class FalcoEngine:
     @property
     def rules(self) -> List[FalcoRule]:
         """The rule set, in evaluation order. Any change to the list, or
-        assigning a new one, re-indexes the rules by topic; a rule's
-        ``topics`` are read when it is indexed."""
+        assigning a new one, re-indexes the rules by topic (and, when
+        attached with ``all_events=False``, re-subscribes); a rule's
+        ``topics`` are read then."""
         return self._rules
 
     @rules.setter
     def rules(self, rules: Sequence[FalcoRule]) -> None:
-        self._rules = _RuleList(rules, self._by_topic.clear)
+        self._rules = _RuleList(rules, self._rules_changed)
+        self._rules_changed()
+
+    def _rules_changed(self) -> None:
         self._by_topic.clear()
+        if self._bus is not None:
+            self._subscribe()
 
     def _rules_for(self, topic: str) -> Tuple[FalcoRule, ...]:
         rules = self._by_topic.get(topic)
@@ -156,19 +175,37 @@ class FalcoEngine:
 
     # -- lifecycle -------------------------------------------------------------
 
-    def attach(self, bus: EventBus) -> None:
-        if self._unsubscribe is not None:
+    def attach(self, bus: EventBus, *, all_events: bool = True) -> None:
+        """Watch ``bus``: every topic, or with ``all_events=False`` only
+        the topics the rules name (once per minimal topic prefix, so no
+        event is handled twice), following later rule changes."""
+        if self._bus is not None:
             raise ValueError("engine already attached")
         self._bus = bus
-        self._unsubscribe = bus.subscribe(
-            "", self._handle,
-            predicate=lambda e: not e.topic.startswith("monitor."))
+        self._all_events = all_events
+        self._subscribe()
+
+    def _subscribe(self) -> None:
+        """(Re)subscribe to the watched topics if they changed."""
+        watched = ("",) if self._all_events else minimal_topics(
+            topic for rule in self._rules for topic in rule.topics)
+        if watched == self._watched:
+            return
+        self._unsubscribe_all()
+        self._watched = watched
+        self._unsubscribes = [
+            self._bus.subscribe(topic, self._handle, predicate=_not_monitor)
+            for topic in watched]
+
+    def _unsubscribe_all(self) -> None:
+        for unsubscribe in self._unsubscribes:
+            unsubscribe()
+        self._unsubscribes = []
 
     def detach(self) -> None:
-        if self._unsubscribe is not None:
-            self._unsubscribe()
-            self._unsubscribe = None
-            self._bus = None
+        self._unsubscribe_all()
+        self._watched = ()
+        self._bus = None
 
     def rule(self, name: str) -> FalcoRule:
         for rule in self.rules:

@@ -10,9 +10,14 @@ hosts, the parent plus N-1 spawned worker processes, and the
 :class:`ParallelFleetDriver` re-publishes the returned
 :class:`CycleResult` events onto its fleet bus in deterministic
 ``(timestamp, shard_index, seq)`` order via
-:meth:`~repro.common.events.EventBus.publish_batch`. Because every shard
-is seeded identically no matter which host runs it, the rendered fleet
-report is **byte-identical** for any worker count.
+:meth:`~repro.common.events.EventBus.publish_batch`. Shards capture only
+the topics the fleet bus has live subscribers for
+(:meth:`~repro.common.events.EventBus.topics`, sent with every advance),
+so no shard event crosses the process boundary unless something in the
+parent consumes it; a topic subscribed mid-run ships from the next
+boundary on. Because every shard is seeded identically no matter which
+host runs it, the rendered fleet report is **byte-identical** for any
+worker count.
 
 Fleet telemetry is deliberately fleet-normalized: shards are built with
 telemetry disabled wherever they run (an OLT-local share gauge would make
@@ -36,7 +41,7 @@ from operator import methodcaller
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.clock import SimClock
-from repro.common.events import Event, EventBus
+from repro.common.events import Event, EventBus, minimal_topics
 from repro.common.sim import Scheduler
 from repro.common import telemetry
 from repro.pon.network import PonNetwork
@@ -250,9 +255,10 @@ class ShardRunner:
 
     Identical code runs in the parent and in spawned workers, which is
     what makes the fleet output worker-count-invariant: a shard's entire
-    event stream is a function of its :class:`ShardConfig` alone. Every
-    bus event the shard emits is captured (with a shard-local sequence
-    number) for the driver to merge deterministically.
+    event stream is a function of its :class:`ShardConfig` alone. The
+    bus events on the topics named by each :meth:`advance` are captured
+    (with a shard-local sequence number) for the driver to merge
+    deterministically; the rest never leave the shard.
     """
 
     def __init__(self, config: ShardConfig) -> None:
@@ -277,7 +283,8 @@ class ShardRunner:
             telemetry.set_telemetry_enabled(enabled)
         self._pending: List[EventRow] = []
         self._seq = 0
-        self.bus.subscribe("", self._capture)
+        self._topics: Tuple[str, ...] = ()
+        self._uncaptures: List[Callable[[], None]] = []
 
     def _capture(self, event: Event) -> None:
         self._pending.append((event.timestamp, self._seq, event.topic,
@@ -289,8 +296,18 @@ class ShardRunner:
         self.generator.start(seconds)
         return self.generator.n_cycles
 
-    def advance(self, until: float) -> CycleResult:
-        """Run the shard to ``until`` and hand back what happened."""
+    def advance(self, until: float, topics: Sequence[str]) -> CycleResult:
+        """Run the shard to ``until`` and hand back what happened on
+        ``topics``, patterns as for
+        :meth:`~repro.common.events.EventBus.subscribe` (``("",)`` for
+        every event, ``()`` for none)."""
+        topics = minimal_topics(topics)
+        if topics != self._topics:
+            for uncapture in self._uncaptures:
+                uncapture()
+            self._uncaptures = [self.bus.subscribe(topic, self._capture)
+                                for topic in topics]
+            self._topics = topics
         self.scheduler.run_until(until)
         events, self._pending = self._pending, []
         qos = self.generator.qos
@@ -451,9 +468,11 @@ class ShardPool:
         self._started = True
         return self._command("start", seconds)[0]
 
-    def advance(self, until: float) -> List[CycleResult]:
-        """Advance every shard to ``until``; results in shard-index order."""
-        results = self._command("advance", until)
+    def advance(self, until: float,
+                topics: Sequence[str]) -> List[CycleResult]:
+        """Advance every shard to ``until``, capturing the events on
+        ``topics``; results in shard-index order."""
+        results = self._command("advance", until, tuple(topics))
         results.sort(key=lambda result: result.shard_index)
         return results
 
@@ -487,12 +506,15 @@ class ShardPool:
 class ParallelFleetDriver:
     """Fleet driver over a :class:`ShardPool`.
 
-    Advances the pool monitor-interval by monitor-interval; after each
-    boundary it merges every shard's captured events onto the shared bus
-    in ``(timestamp, shard_index, seq)`` order — a total order that does
-    not depend on worker count or scheduling — then runs the
-    fleet-normalized monitor pass and the Falco stats heartbeat. The
-    rendered :class:`FleetReport` is therefore byte-identical between
+    Advances the pool monitor-interval by monitor-interval, asking the
+    shards for the topics the fleet bus has live subscribers for at that
+    moment; after each boundary it merges every shard's captured events
+    onto the shared bus in ``(timestamp, shard_index, seq)`` order — a
+    total order that does not depend on worker count or scheduling —
+    then runs the fleet-normalized monitor pass and the Falco stats
+    heartbeat. The fleet's Falco watches only its rules' topics, so by
+    default (no rule matches a PON or QoS topic) no shard event ships.
+    The rendered :class:`FleetReport` is byte-identical between
     ``workers=1`` and ``workers=N`` for the same seed.
     """
 
@@ -525,17 +547,15 @@ class ParallelFleetDriver:
             registry=self.registry, bus=self.bus,
             persistence=alert_persistence)
         self.falco = FalcoEngine()
-        self.falco.attach(self.bus)
+        self.falco.attach(self.bus, all_events=False)
         self.alert_first_at: Dict[str, float] = {}
         self.bus.subscribe("monitor.alert", self._on_alert)
         self.monitor_passes = 0
 
     def _on_alert(self, event: Event) -> None:
-        summary = str(event.payload.get("summary", ""))
-        token = summary.split(" ", 1)[0]
-        if token.startswith("tenant="):
-            self.alert_first_at.setdefault(token[len("tenant="):],
-                                           event.timestamp)
+        tenant = event.payload.get("tenant")
+        if tenant is not None:
+            self.alert_first_at.setdefault(tenant, event.timestamp)
 
     def _merge(self, results: Sequence[CycleResult]) -> int:
         """Publish the boundary's shard events in deterministic order.
@@ -581,7 +601,7 @@ class ParallelFleetDriver:
             # Multiples of the interval, never float accumulation — the
             # boundary sequence is identical in every mode.
             boundary = min(step * self.monitor_interval_s, duration)
-            results = self.pool.advance(boundary)
+            results = self.pool.advance(boundary, self.bus.topics())
             events_fired = self._merge(results)
             self._monitor_pass(results, boundary)
             self.bus.emit("monitor.stats", "falco", boundary,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.clock import SimClock
-from repro.common.events import Event, EventBus
+from repro.common.events import Event, EventBus, minimal_topics
 from repro.common.ids import IdGenerator
 
 
@@ -373,6 +373,39 @@ class TestEventBusPublishBatch:
                         .labels(topic=topic).value
                         == seq_registry.get(metric)
                         .labels(topic=topic).value)
+
+
+class TestEventBusTopics:
+    def test_empty_bus_consumes_nothing(self):
+        assert EventBus().topics() == ()
+
+    def test_sorted_and_minimal(self):
+        bus = EventBus()
+        for topic in ("qos.drop", "host.syscall", "host", "host-x",
+                      "pon.dba.grant", "pon.dba"):
+            bus.subscribe(topic, lambda event: None)
+        assert bus.topics() == ("host", "host-x", "pon.dba", "qos.drop")
+
+    def test_catch_all_covers_everything(self):
+        bus = EventBus()
+        bus.subscribe("pon.upstream", lambda event: None)
+        unsubscribe = bus.subscribe("", lambda event: None)
+        assert bus.topics() == ("",)
+        unsubscribe()
+        assert bus.topics() == ("pon.upstream",)
+
+    def test_only_live_subscriptions_count(self):
+        bus = EventBus()
+        first = bus.subscribe("pon.dba.grant", lambda event: None)
+        second = bus.subscribe("pon.dba.grant", lambda event: None)
+        first()
+        assert bus.topics() == ("pon.dba.grant",)
+        second()
+        assert bus.topics() == ()
+
+    def test_minimal_topics_dedupes(self):
+        assert minimal_topics(["a.b", "a.b", "a.bc", "a"]) == ("a",)
+        assert minimal_topics(["a.bc", "a.b"]) == ("a.b", "a.bc")
 
 
 class TestIdGenerator:

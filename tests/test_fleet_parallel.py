@@ -17,6 +17,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.common import telemetry
+from repro.security.monitor.falco import FalcoRule
 from repro.traffic.fleet import (
     CycleResult, ParallelFleetDriver, ShardConfig, ShardFailure, ShardPool,
     ShardRunner, fleet_shard_configs, run_fleet_parallel,
@@ -28,6 +29,49 @@ def with_bad_profile(config):
     exist, so building the shard raises."""
     bad = dataclasses.replace(config.specs[0], profile="no-such-kind")
     return dataclasses.replace(config, specs=(bad,) + config.specs[1:])
+
+
+def all_topics_merge(configs, seconds, topic, interval_s=0.1):
+    """What the fleet bus gets on ``topic`` when every shard event ships.
+
+    Each shard is advanced boundary by boundary like the driver does,
+    capturing ``topics=("",)``; each boundary's events are merged in
+    ``(timestamp, shard index, seq)`` order. Returns
+    ``(boundary number, timestamp, source, payload)`` tuples, the first
+    boundary being 0.
+    """
+    runners = [ShardRunner(config) for config in configs]
+    n_cycles = [runner.start(seconds) for runner in runners][0]
+    duration = n_cycles * configs[0].cycle_s
+    merged = []
+    boundary, step = 0.0, 0
+    while boundary < duration:
+        step += 1
+        boundary = min(step * interval_s, duration)
+        rows = [(timestamp, runner.index, seq, source, payload)
+                for runner in runners
+                for timestamp, seq, name, source, payload
+                in runner.advance(boundary, ("",)).events
+                if name == topic]
+        rows.sort(key=lambda row: row[:3])
+        merged.extend((step - 1, timestamp, source, payload)
+                      for timestamp, _index, _seq, source, payload in rows)
+    return merged
+
+
+def count_shipped(driver):
+    """Wrap the driver's ``pool.advance``; the returned list collects the
+    number of shard events each boundary ships."""
+    shipped = []
+    advance = driver.pool.advance
+
+    def counting(until, topics):
+        results = advance(until, topics)
+        shipped.append(sum(len(result.events) for result in results))
+        return results
+
+    driver.pool.advance = counting
+    return shipped
 
 
 class TestShardConfigs:
@@ -64,7 +108,7 @@ class TestShardRunner:
     def test_advance_returns_captured_events_in_order(self):
         runner = ShardRunner(fleet_shard_configs(1, 3, seed=1)[0])
         runner.start(0.1)
-        result = runner.advance(0.1)
+        result = runner.advance(0.1, ("",))
         assert isinstance(result, CycleResult)
         assert result.events
         assert [row[1] for row in result.events] \
@@ -77,8 +121,8 @@ class TestShardRunner:
     def test_successive_advances_do_not_replay_events(self):
         runner = ShardRunner(fleet_shard_configs(1, 3, seed=1)[0])
         runner.start(0.2)
-        first = runner.advance(0.1)
-        second = runner.advance(0.2)
+        first = runner.advance(0.1, ("",))
+        second = runner.advance(0.2, ("",))
         assert first.events and second.events
         assert second.events[0][1] > first.events[-1][1]   # seq advances
 
@@ -88,7 +132,7 @@ class TestShardRunner:
         for _ in range(2):
             runner = ShardRunner(config)
             runner.start(0.1)
-            streams.append(runner.advance(0.1).events)
+            streams.append(runner.advance(0.1, ("",)).events)
         assert streams[0] == streams[1]
 
 
@@ -124,7 +168,7 @@ class TestShardPool:
         assert not pool._procs
         n_cycles = pool.start(0.1)
         assert n_cycles == 5
-        results = pool.advance(0.1)
+        results = pool.advance(0.1, ("",))
         assert [r.shard_index for r in results] == [1, 2]
         reports = pool.reports()
         assert list(reports) == ["olt-1", "olt-2"]
@@ -183,13 +227,13 @@ class TestShardFailures:
         pool = ShardPool(fleet_shard_configs(4, 8), workers=2)
         try:
             pool.start(0.2)
-            pool.advance(0.1)
+            pool.advance(0.1, ("",))
             worker = pool._procs[0]
             os.kill(worker.pid, signal.SIGKILL)
             worker.join(timeout=10)
             assert not worker.is_alive()
             with pytest.raises(ShardFailure) as info:
-                pool.advance(0.2)
+                pool.advance(0.2, ("",))
             assert info.value.shards == ("olt-2", "olt-4")
             assert "died" in info.value.detail
         finally:
@@ -202,14 +246,14 @@ class TestShardFailures:
         pool = ShardPool(fleet_shard_configs(2, 128), workers=2)
         worker = pool._procs[0]
 
-        def boom(until):
+        def boom(until, topics):
             raise RuntimeError("parent bucket failed")
 
         try:
             pool.start(2.0)
             pool._local[0].advance = boom
             with pytest.raises(ShardFailure) as info:
-                pool.advance(2.0)
+                pool.advance(2.0, ("",))
             assert info.value.shards == ("olt-1",)
             assert "parent bucket failed" in info.value.detail
         finally:
@@ -220,7 +264,7 @@ class TestShardFailures:
         assert not worker.is_alive()
         pool.close()                      # idempotent
         with pytest.raises(RuntimeError, match="pool is closed"):
-            pool.advance(2.0)
+            pool.advance(2.0, ("",))
 
 
 class TestParallelDriver:
@@ -255,6 +299,7 @@ class TestParallelDriver:
 
     def test_merged_events_land_on_the_parent_bus_in_time_order(self):
         driver = ParallelFleetDriver(n_olts=2, n_tenants=4, seed=0)
+        driver.bus.subscribe("pon.dba.grant", lambda event: None)
         try:
             report = driver.run(0.2)
         finally:
@@ -306,9 +351,75 @@ class TestParallelDriver:
         with pytest.raises(RuntimeError, match="pool is closed"):
             driver.run(0.1)
         with pytest.raises(RuntimeError, match="pool is closed"):
-            driver.pool.advance(0.1)
+            driver.pool.advance(0.1, ("",))
         with pytest.raises(RuntimeError, match="pool is closed"):
             driver.pool.reports()
+
+
+class TestShipping:
+    """Only the topics the fleet bus has live subscribers for cross the
+    process boundary, and the parent's consumers see exactly what they
+    would if every shard event shipped."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_parent_subscriber_sees_the_all_topics_stream(self, workers):
+        driver = ParallelFleetDriver(n_olts=4, n_tenants=10, seed=3,
+                                     workers=workers)
+        seen = []
+        driver.bus.subscribe("pon.dba.grant", lambda event: seen.append(
+            (event.timestamp, event.source, event.payload)))
+        try:
+            driver.run(0.3)
+        finally:
+            driver.pool.close()
+        expected = [(timestamp, source, payload)
+                    for _boundary, timestamp, source, payload
+                    in all_topics_merge(driver.configs, 0.3,
+                                        "pon.dba.grant")]
+        assert seen == expected
+        assert expected
+
+    def test_default_driver_ships_nothing(self):
+        kwargs = dict(n_olts=2, n_tenants=6, seed=0, workers=2)
+        default = ParallelFleetDriver(**kwargs)
+        everything = ParallelFleetDriver(**kwargs)
+        everything.bus.subscribe("", lambda event: None)
+        reports, shipped = [], []
+        for driver in (default, everything):
+            shipped.append(count_shipped(driver))
+            try:
+                reports.append(driver.run(0.5))
+            finally:
+                driver.pool.close()
+        assert sum(shipped[0]) == 0 < sum(shipped[1])
+        assert default.falco.events_processed == 0
+        assert reports[0].render() == reports[1].render()
+        assert reports[0].alert_first_at == reports[1].alert_first_at
+        assert "olt1-tenant-hostile" in reports[0].alert_first_at
+
+    def test_falco_rule_appended_mid_run_counts_from_next_boundary(self):
+        driver = ParallelFleetDriver(n_olts=2, n_tenants=4, seed=0,
+                                     workers=2)
+        evaluated = []
+        rule = FalcoRule(
+            name="upstream_seen", description="every upstream frame",
+            topics=("pon.upstream",),
+            condition=lambda event: evaluated.append(event.timestamp))
+
+        def add_rule_once(_event):
+            if rule not in driver.falco.rules:
+                driver.falco.rules.append(rule)
+
+        driver.bus.subscribe("monitor.stats", add_rule_once)
+        try:
+            driver.run(0.3)
+        finally:
+            driver.pool.close()
+        expected = [timestamp for boundary, timestamp, _source, _payload
+                    in all_topics_merge(driver.configs, 0.3, "pon.upstream")
+                    if boundary >= 1]
+        assert evaluated == expected
+        assert driver.falco.rule_evaluations == len(expected) > 0
 
 
 class TestFleetWorkersCli:

@@ -294,6 +294,75 @@ class TestFalcoTopicIndex:
         assert fired
 
 
+class TestRuleScopedFalco:
+    """``attach(bus, all_events=False)`` subscribes to the rules' topics
+    only, and follows every change to the rule list."""
+
+    def test_overlapping_rule_topics_deliver_once(self):
+        bus = EventBus()
+        engine = FalcoEngine(rules=[_always("broad", "host"),
+                                    _always("narrow", "host.syscall")])
+        engine.attach(bus, all_events=False)
+        assert bus.topics() == ("host",)
+        bus.emit("host.syscall", "test", 0.0)
+        bus.emit("host.file", "test", 1.0)
+        bus.emit("pon.dba.grant", "test", 2.0)
+        assert engine.events_processed == 2
+        assert engine.rule_evaluations == 3
+        assert [alert.rule for alert in engine.alerts] \
+            == ["broad", "narrow", "broad"]
+
+    def test_unwatched_topics_are_not_delivered(self):
+        bus = EventBus()
+        engine = FalcoEngine()
+        engine.attach(bus, all_events=False)
+        assert bus.topics() == ("host.file", "host.login", "host.syscall",
+                                "kube.audit", "runtime.syscall")
+        for topic, payload in TestFalcoTopicIndex.MIXED:
+            bus.emit(topic, "test", 0.0, **payload)
+        assert engine.events_processed == 6
+        assert engine.rule_evaluations > 0
+
+    def test_append_remove_and_assignment_resubscribe(self):
+        bus = EventBus()
+        engine = FalcoEngine(rules=[])
+        engine.attach(bus, all_events=False)
+        assert bus.topics() == ()
+        engine.rules.append(_always("probe", "custom.probe"))
+        assert bus.topics() == ("custom.probe",)
+        bus.emit("custom.probe", "test", 0.0)
+        engine.rules.remove(engine.rule("probe"))
+        assert bus.topics() == ()
+        bus.emit("custom.probe", "test", 1.0)
+        engine.rules = [_always("other", "custom.other")]
+        assert bus.topics() == ("custom.other",)
+        bus.emit("custom.probe", "test", 2.0)
+        bus.emit("custom.other", "test", 3.0)
+        assert [(alert.rule, alert.timestamp) for alert in engine.alerts] \
+            == [("probe", 0.0), ("other", 3.0)]
+        assert engine.events_processed == 2
+
+    def test_monitor_rule_topic_is_never_handled(self):
+        bus = EventBus()
+        engine = FalcoEngine(rules=[_always("loop", "monitor.alert")],
+                             publish_alerts=True)
+        engine.attach(bus, all_events=False)
+        bus.emit("monitor.alert", "test", 0.0, rule="x")
+        assert engine.events_processed == 0
+        assert engine.alerts == []
+
+    def test_detach_and_reattach(self):
+        bus = EventBus()
+        engine = FalcoEngine(rules=[_always("probe", "custom.probe")])
+        engine.attach(bus, all_events=False)
+        engine.detach()
+        assert bus.topics() == ()
+        engine.rules.append(_always("late", "custom.late"))
+        assert bus.topics() == ()
+        engine.attach(bus)
+        assert bus.topics() == ("",)
+
+
 class TestResourceAbuseDetection:
     def test_greedy_container_flagged_and_evicted(self):
         runtime = ContainerRuntime("node", cpu_capacity=8.0,

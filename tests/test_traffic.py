@@ -805,6 +805,20 @@ class TestMetricsDrivenAbuseDetection:
         assert incidents[0].key == "t-bad"
         assert incidents[0].alerts[0].rule == "resource_abuse"
 
+    def test_alerts_carry_structured_fields(self):
+        bus = EventBus()
+        alerts = []
+        bus.subscribe("monitor.alert", alerts.append)
+        registry = self._registry_with_shares(
+            {"t-1": 0.04, "t-bad": 0.92})
+        ResourceAbuseDetector(registry=registry, bus=bus).sample_metrics(
+            now=10.0)
+        [alert] = alerts
+        assert alert.payload["tenant"] == "t-bad"
+        assert alert.payload["metric"] == OFFERED_SHARE_GAUGE
+        assert alert.payload["share"] == 0.92
+        assert alert.payload["summary"].startswith("tenant=t-bad ")
+
     def test_traffic_run_feeds_detector_end_to_end(self):
         run_traffic_experiment(n_tenants=4, seconds=0.3)
         detector = ResourceAbuseDetector()   # process-wide registry
